@@ -1,10 +1,13 @@
 /**
  * @file
- * Binary codec for simulation result types (CoreResult and the stats
- * structs inside it). Field order is part of the on-disk schema: any
- * change to the encoded field set — including adding a Counter to
- * PerfStats/ActivityStats — must bump kCoreResultSchemaVersion, which
- * invalidates every persisted artifact (see store/artifact_store.h).
+ * Binary codecs for the simulation result types the artifact store
+ * persists (CoreResult and the stats structs inside it, DtmReport,
+ * IntervalModel, MulticoreReport) and for the wire records. Field
+ * order is part of the on-disk schema: any change to a persisted
+ * encoding — including adding a Counter to PerfStats/ActivityStats —
+ * must bump kStoreSchemaVersion (store/artifact_store.h), which every
+ * entry carries in its container header, so every persisted artifact
+ * is invalidated instead of misread.
  */
 
 #ifndef TH_IO_SERIALIZE_H
@@ -21,9 +24,6 @@
 #include "multicore/multicore.h"
 
 namespace th {
-
-/** Schema version of the CoreResult encoding below. */
-inline constexpr std::uint32_t kCoreResultSchemaVersion = 1;
 
 /** Schema version of the DtmReport encoding below. */
 inline constexpr std::uint32_t kDtmReportSchemaVersion = 1;

@@ -1,58 +1,12 @@
 #include "net/server.h"
 
-#include <climits>
 #include <utility>
 
 #include "common/version.h"
-#include "dtm/engine.h"
-#include "dtm/policy.h"
 #include "io/serialize.h"
-#include "sim/experiments.h"
-#include "sim/report.h"
-#include "trace/suites.h"
+#include "sim/dispatch.h"
 
 namespace th {
-
-namespace {
-
-/** Non-exiting configByName (th_run's variant calls usage()). */
-bool configKindByName(const std::string &name, ConfigKind &out)
-{
-    for (ConfigKind k : {ConfigKind::Base, ConfigKind::TH, ConfigKind::Pipe,
-                         ConfigKind::Fast, ConfigKind::ThreeD,
-                         ConfigKind::ThreeDNoTH}) {
-        if (name == configName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Map request DTM knobs onto DtmOptions (0 / empty = defaults).
- *  The narrowing casts are safe because validate() rejected anything
- *  above INT_MAX before the request was admitted. */
-DtmOptions dtmOptionsFrom(const SimRequest &req)
-{
-    DtmOptions opts;
-    if (!req.dtmPolicy.empty())
-        dtmPolicyByName(req.dtmPolicy, opts.policy); // validated upstream
-    if (req.dtmTriggerK > 0.0)
-        opts.triggers.triggerK = req.dtmTriggerK;
-    if (req.dtmIntervals > 0)
-        opts.maxIntervals = static_cast<int>(req.dtmIntervals);
-    if (req.dtmIntervalCycles > 0)
-        opts.intervalCycles = req.dtmIntervalCycles;
-    if (req.dtmDilation > 0.0)
-        opts.timeDilation = req.dtmDilation;
-    if (req.dtmGridN > 0)
-        opts.gridN = static_cast<int>(req.dtmGridN);
-    if (!req.dtmSolver.empty())
-        solverKindByName(req.dtmSolver, &opts.solver); // validated upstream
-    return opts;
-}
-
-} // namespace
 
 SimServer::SimServer(const ServerOptions &opts)
     : opts_(opts), loop_(*this, buildInfo()), queue_(opts.queueCapacity)
@@ -156,7 +110,7 @@ EventHandler::Dispatch SimServer::onRequest(std::uint64_t conn_id,
     };
 
     std::string verr;
-    if (!validate(req, verr)) {
+    if (!validateRequest(req, sys_->options(), verr)) {
         metrics_.noteBadRequest();
         rsp.status = SimStatus::BadRequest;
         rsp.error = verr;
@@ -189,6 +143,11 @@ EventHandler::Dispatch SimServer::onRequest(std::uint64_t conn_id,
     std::shared_ptr<Flight> flight;
     bool created = false;
     {
+        // Attach while still holding flights_mu_: publishFlight unmaps
+        // a flight (under this lock) before it marks it done and takes
+        // its waiters, so a flight found here cannot publish until
+        // this waiter is on it. Attaching after the unlock let a
+        // worker publish in between and strand the connection.
         LockGuard lock(flights_mu_);
         auto it = flights_.find(key);
         if (it != flights_.end()) {
@@ -198,17 +157,15 @@ EventHandler::Dispatch SimServer::onRequest(std::uint64_t conn_id,
             flights_.emplace(key, flight);
             created = true;
         }
+        {
+            LockGuard plock(pending_mu_);
+            pending_.emplace(conn_id, Pending{flight, key, t0});
+        }
+        LockGuard flock(flight->mu);
+        flight->waiters.push_back(conn_id);
     }
     if (!created)
         metrics_.noteDedupHit();
-    {
-        LockGuard lock(pending_mu_);
-        pending_.emplace(conn_id, Pending{flight, key, t0});
-    }
-    {
-        LockGuard lock(flight->mu);
-        flight->waiters.push_back(conn_id);
-    }
     if (req.deadlineMs != 0)
         loop_.armDeadline(conn_id, req.deadlineMs);
 
@@ -369,193 +326,6 @@ void SimServer::publishFlight(const std::shared_ptr<Flight> &flight,
     }
 }
 
-bool SimServer::validate(const SimRequest &req, std::string &err) const
-{
-    for (const std::string &b : req.benchmarks) {
-        if (!hasBenchmark(b)) {
-            err = "unknown benchmark '" + b + "'";
-            return false;
-        }
-    }
-    // The store keys a result by (benchmark, config hash) only — the
-    // simulation window is the server's to fix. Accept 0 ("use the
-    // server's") or an exact match; anything else would silently serve
-    // a result computed under a different window.
-    if (req.insts != 0 && req.insts != opts_.sim.instructions) {
-        err = "requested insts " + std::to_string(req.insts) +
-              " != server window " +
-              std::to_string(opts_.sim.instructions) +
-              " (the server's simulation window is fixed)";
-        return false;
-    }
-    if (req.warmup != 0 && req.warmup != opts_.sim.warmupInstructions) {
-        err = "requested warmup " + std::to_string(req.warmup) +
-              " != server window " +
-              std::to_string(opts_.sim.warmupInstructions) +
-              " (the server's simulation window is fixed)";
-        return false;
-    }
-    if (req.kind == SimRequestKind::Core) {
-        if (req.benchmarks.size() != 1) {
-            err = "core requests take exactly one benchmark";
-            return false;
-        }
-        ConfigKind kind;
-        if (!configKindByName(req.config, kind)) {
-            err = "unknown config '" + req.config +
-                  "' (Base, TH, Pipe, Fast, 3D, 3D-noTH)";
-            return false;
-        }
-    } else if (req.kind == SimRequestKind::Multicore) {
-        ConfigKind kind;
-        if (!req.config.empty() && !configKindByName(req.config, kind)) {
-            err = "unknown config '" + req.config +
-                  "' (Base, TH, Pipe, Fast, 3D, 3D-noTH)";
-            return false;
-        }
-    } else if (!req.config.empty()) {
-        err = "config is only meaningful for core and multicore "
-              "requests";
-        return false;
-    }
-    if (req.kind == SimRequestKind::Multicore) {
-        // The generated floorplan and thermal grid scale with the core
-        // count; cap both axes so a hostile request cannot ask for an
-        // absurd stack (and so the int casts below never wrap).
-        if (req.mcCores > 64) {
-            err = "mcCores " + std::to_string(req.mcCores) +
-                  " out of range (max 64)";
-            return false;
-        }
-        if (req.mcL2Banks > 64) {
-            err = "mcL2Banks " + std::to_string(req.mcL2Banks) +
-                  " out of range (max 64)";
-            return false;
-        }
-    } else if (req.mcCores != 0 || req.mcL2Banks != 0) {
-        err = "mcCores/mcL2Banks are only meaningful for multicore "
-              "requests";
-        return false;
-    }
-    if (req.kind == SimRequestKind::Dtm &&
-        req.benchmarks.size() > 1) {
-        err = "dtm requests take at most one benchmark";
-        return false;
-    }
-    // Multicore requests reuse the DTM knobs for their per-core
-    // policies, so both kinds get the same validation.
-    if (req.kind == SimRequestKind::Dtm ||
-        req.kind == SimRequestKind::Multicore) {
-        DtmPolicyKind policy;
-        if (!req.dtmPolicy.empty() &&
-            !dtmPolicyByName(req.dtmPolicy, policy)) {
-            err = "unknown policy '" + req.dtmPolicy +
-                  "' (none, clockgate, fetch)";
-            return false;
-        }
-        SolverKind solver;
-        if (!req.dtmSolver.empty() &&
-            !solverKindByName(req.dtmSolver, &solver)) {
-            err = "unknown solver '" + req.dtmSolver +
-                  "' (sor, multigrid)";
-            return false;
-        }
-        // The wire carries these as unsigned; DtmOptions holds ints. A
-        // hostile value above INT_MAX would wrap negative through the
-        // narrowing cast and sail past the > 0 default-selection
-        // guards, so reject it here with a structured error.
-        if (req.dtmIntervals > static_cast<std::uint32_t>(INT_MAX)) {
-            err = "dtmIntervals " + std::to_string(req.dtmIntervals) +
-                  " out of range (max " + std::to_string(INT_MAX) + ")";
-            return false;
-        }
-        if (req.dtmGridN > static_cast<std::uint32_t>(INT_MAX)) {
-            err = "dtmGridN " + std::to_string(req.dtmGridN) +
-                  " out of range (max " + std::to_string(INT_MAX) + ")";
-            return false;
-        }
-    }
-    if (req.fastPath > 1) {
-        err = "fastPath must be 0 or 1";
-        return false;
-    }
-    if (req.fastPath != 0 && req.kind != SimRequestKind::Dtm) {
-        err = "fastPath is only meaningful for dtm requests";
-        return false;
-    }
-    return true;
-}
-
-SimResponse SimServer::execute(const SimRequest &req,
-                               const CancelToken *cancel)
-{
-    SimResponse rsp;
-    switch (req.kind) {
-    case SimRequestKind::Fig8:
-        rsp.text = renderFig8(runFigure8(*sys_, req.benchmarks, cancel));
-        break;
-    case SimRequestKind::Fig9:
-        rsp.text = renderFig9(runFigure9(*sys_, req.benchmarks, cancel));
-        break;
-    case SimRequestKind::Fig10:
-        rsp.text = renderFig10(runFigure10(*sys_, req.benchmarks, cancel));
-        break;
-    case SimRequestKind::Width:
-        rsp.text = renderWidth(runWidthStudy(*sys_, req.benchmarks, cancel));
-        break;
-    case SimRequestKind::Dtm: {
-        const DtmOptions opts = dtmOptionsFrom(req);
-        const std::string benchmark = req.benchmarks.empty()
-                                          ? System::kPowerReferenceBenchmark
-                                          : req.benchmarks[0];
-        // fastPath replays fitted interval models (with an exact anchor
-        // backing the report's error line); requests differing only in
-        // this flag never coalesce — flightKeyOf covers it.
-        const DtmStudyData data = req.fastPath != 0
-            ? runDtmStudyFast(*sys_, benchmark, opts, IntervalOptions{},
-                              cancel)
-            : runDtmStudy(*sys_, benchmark, opts, cancel);
-        rsp.text = renderDtm(data, opts);
-        break;
-    }
-    case SimRequestKind::Core: {
-        ConfigKind kind = ConfigKind::Base;
-        configKindByName(req.config, kind); // validated on admission
-        const CoreResult r = sys_->runCore(req.benchmarks[0], kind, cancel);
-        rsp.text = renderCoreRun(req.benchmarks[0], req.config, r);
-        break;
-    }
-    case SimRequestKind::Multicore: {
-        MulticoreConfig mc;
-        mc.benchmarks = req.benchmarks;
-        mc.dtm = dtmOptionsFrom(req);
-        if (req.mcL2Banks > 0)
-            mc.l2Banks = static_cast<int>(req.mcL2Banks);
-        if (req.mcCores > 0) {
-            // Single stack at the requested core count (config
-            // defaults to the full 3D design).
-            mc.numCores = static_cast<int>(req.mcCores);
-            ConfigKind kind = ConfigKind::ThreeD;
-            if (!req.config.empty())
-                configKindByName(req.config, kind); // validated on admission
-            rsp.text = renderMulticore(
-                sys_->runMulticore(kind, mc, cancel));
-        } else {
-            // No core count: the full neighbor-coupling study.
-            rsp.text = renderMulticoreStudy(
-                runMulticoreStudy(*sys_, mc, {}, cancel));
-        }
-        break;
-    }
-    case SimRequestKind::Ping:
-    case SimRequestKind::Metrics:
-        rsp.status = SimStatus::Internal;
-        rsp.error = "control-plane request reached the worker pool";
-        break;
-    }
-    return rsp;
-}
-
 void SimServer::workerLoop()
 {
     waitUntilResumed();
@@ -571,7 +341,8 @@ void SimServer::workerLoop()
         } else {
             metrics_.noteSimulationRun();
             try {
-                rsp = execute(work.request, &work.flight->cancel);
+                rsp = runRequest(*sys_, work.request,
+                                 &work.flight->cancel);
             } catch (const Cancelled &) {
                 rsp.status = SimStatus::DeadlineExceeded;
                 rsp.error = "cancelled mid-run after every waiter's "

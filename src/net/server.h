@@ -140,10 +140,6 @@ class SimServer : public EventHandler
     /** Park until resumeWorkers() when started paused. */
     void waitUntilResumed();
 
-    /** Semantic validation; false fills @p err. */
-    bool validate(const SimRequest &req, std::string &err) const;
-    /** Execute the simulation behind @p req (worker thread). */
-    SimResponse execute(const SimRequest &req, const CancelToken *cancel);
     /**
      * Unmap @p key, mark @p flight done, and deliver @p rsp to every
      * waiting connection (any thread).

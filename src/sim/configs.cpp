@@ -49,6 +49,20 @@ configName(ConfigKind kind)
     }
 }
 
+bool
+configKindByName(const std::string &name, ConfigKind &out)
+{
+    for (ConfigKind k : {ConfigKind::Base, ConfigKind::TH, ConfigKind::Pipe,
+                         ConfigKind::Fast, ConfigKind::ThreeD,
+                         ConfigKind::ThreeDNoTH}) {
+        if (name == configName(k)) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::vector<ConfigKind>
 figure8Configs()
 {

@@ -33,6 +33,9 @@ enum class ConfigKind {
 /** Display name ("Base", "TH", ...). */
 const char *configName(ConfigKind kind);
 
+/** The kind whose configName() is @p name; false when none is. */
+bool configKindByName(const std::string &name, ConfigKind &out);
+
 /** All Figure 8 configurations in presentation order. */
 std::vector<ConfigKind> figure8Configs();
 

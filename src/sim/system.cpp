@@ -62,37 +62,13 @@ System::runCore(const std::string &benchmark, const CoreConfig &cfg,
 {
     // Memoize on (benchmark, config hash): traces are seeded by the
     // benchmark profile and the core is deterministic, so a repeat of
-    // the same pair is bit-identical to the first run.
-    const std::uint64_t hash = configHash(cfg);
-    const std::string key = benchmark + '\0' + std::to_string(hash);
-    {
-        LockGuard lock(cache_mu_);
-        auto it = core_cache_.find(key);
-        if (it != core_cache_.end()) {
-            cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-
-    // Between the in-memory cache and a fresh simulation sits the
-    // persistent store: a warm process finds every (benchmark, config)
-    // pair of a previous sweep on disk and skips simulation entirely.
-    // A corrupt entry is quarantined inside loadCoreResult and falls
-    // through to recomputation.
-    CoreResult result;
-    const bool from_store =
-        store_ && store_->loadCoreResult(benchmark, hash, result);
-    if (!from_store) {
-        result = simulate(benchmark, cfg, cancel);
-        if (store_)
-            store_->storeCoreResult(benchmark, hash, result);
-    }
-    {
-        LockGuard lock(cache_mu_);
-        core_cache_.emplace(key, result);
-    }
-    return result;
+    // the same pair is bit-identical to the first run. Between the
+    // memory and a fresh simulation sits the persistent store: a warm
+    // process finds every (benchmark, config) pair of a previous sweep
+    // on disk and skips simulation entirely.
+    return core_memo_.get(store_.get(), benchmark, configHash(cfg), [&] {
+        return simulate(benchmark, cfg, cancel);
+    });
 }
 
 CoreResult
@@ -106,19 +82,13 @@ System::runTrace(TraceSource &trace, const CoreConfig &cfg) const
 System::CacheStats
 System::coreCacheStats() const
 {
-    CacheStats s;
-    s.hits = cache_hits_.load(std::memory_order_relaxed);
-    s.misses = cache_misses_.load(std::memory_order_relaxed);
-    return s;
+    return core_memo_.stats();
 }
 
 void
 System::clearCoreCache()
 {
-    LockGuard lock(cache_mu_);
-    core_cache_.clear();
-    cache_hits_.store(0, std::memory_order_relaxed);
-    cache_misses_.store(0, std::memory_order_relaxed);
+    core_memo_.clear();
 }
 
 StoreStats
@@ -179,35 +149,17 @@ System::runDtm(const std::string &benchmark, ConfigKind kind,
                const DtmOptions &dtm_opts, const CancelToken *cancel)
 {
     const CoreConfig cfg = makeConfig(kind, lib_);
-    const std::uint64_t key_hash = dtmConfigHash(cfg, dtm_opts);
-    const std::string key = benchmark + '\0' + std::to_string(key_hash);
-    {
-        LockGuard lock(dtm_mu_);
-        auto it = dtm_cache_.find(key);
-        if (it != dtm_cache_.end())
-            return it->second;
-    }
-
-    // Check the persistent store before touching the power model: on a
-    // warm rerun even the calibration core run is skipped, so a cached
-    // DTM sweep performs zero core simulations.
-    DtmReport rep;
-    const bool from_store =
-        store_ && store_->loadDtmReport(benchmark, key_hash, rep);
-    if (!from_store) {
-        ensureCalibrated(cancel);
-        const DtmEngine engine(power_, hotspot_, planar_fp_,
-                               stacked_fp_);
-        rep = engine.run(benchmarkByName(benchmark), cfg,
-                         configName(kind), dtm_opts, cancel);
-        if (store_)
-            store_->storeDtmReport(benchmark, key_hash, rep);
-    }
-    {
-        LockGuard lock(dtm_mu_);
-        dtm_cache_.emplace(key, rep);
-    }
-    return rep;
+    // The persistent lookup precedes power calibration: on a warm
+    // rerun even the calibration core run is skipped, so a cached DTM
+    // sweep performs zero core simulations.
+    return dtm_memo_.get(
+        store_.get(), benchmark, dtmConfigHash(cfg, dtm_opts), [&] {
+            ensureCalibrated(cancel);
+            const DtmEngine engine(power_, hotspot_, planar_fp_,
+                                   stacked_fp_);
+            return engine.run(benchmarkByName(benchmark), cfg,
+                              configName(kind), dtm_opts, cancel);
+        });
 }
 
 MulticoreReport
@@ -241,37 +193,19 @@ System::runMulticore(ConfigKind kind, const MulticoreConfig &mc,
     }
 
     const CoreConfig cfg = makeConfig(kind, lib_);
-    const std::uint64_t key_hash = multicoreConfigHash(cfg, resolved);
-    const std::string key = mix + '\0' + std::to_string(key_hash);
-    {
-        LockGuard lock(multicore_mu_);
-        auto it = multicore_cache_.find(key);
-        if (it != multicore_cache_.end())
-            return it->second;
-    }
-
     // Like runDtm: the persistent lookup precedes power calibration,
     // so a warm rerun of a many-core sweep performs zero simulations.
-    MulticoreReport rep;
-    const bool from_store =
-        store_ && store_->loadMulticoreReport(mix, key_hash, rep);
-    if (!from_store) {
-        ensureCalibrated(cancel);
-        std::vector<BenchmarkProfile> profiles;
-        profiles.reserve(resolved.benchmarks.size());
-        for (const std::string &b : resolved.benchmarks)
-            profiles.push_back(benchmarkByName(b));
-        const MulticoreSystem engine(power_, hotspot_);
-        rep = engine.run(profiles, cfg, configName(kind), resolved,
-                         cancel);
-        if (store_)
-            store_->storeMulticoreReport(mix, key_hash, rep);
-    }
-    {
-        LockGuard lock(multicore_mu_);
-        multicore_cache_.emplace(key, rep);
-    }
-    return rep;
+    return multicore_memo_.get(
+        store_.get(), mix, multicoreConfigHash(cfg, resolved), [&] {
+            ensureCalibrated(cancel);
+            std::vector<BenchmarkProfile> profiles;
+            profiles.reserve(resolved.benchmarks.size());
+            for (const std::string &b : resolved.benchmarks)
+                profiles.push_back(benchmarkByName(b));
+            const MulticoreSystem engine(power_, hotspot_);
+            return engine.run(profiles, cfg, configName(kind), resolved,
+                              cancel);
+        });
 }
 
 IntervalModel
@@ -280,33 +214,14 @@ System::runIntervalFit(const std::string &benchmark, ConfigKind kind,
                        const CancelToken *cancel)
 {
     const CoreConfig cfg = makeConfig(kind, lib_);
-    const std::uint64_t key_hash = intervalModelKey(cfg, iopts);
-    const std::string key = benchmark + '\0' + std::to_string(key_hash);
-    {
-        LockGuard lock(interval_mu_);
-        auto it = interval_cache_.find(key);
-        if (it != interval_cache_.end())
-            return it->second;
-    }
-
-    // Fitting needs no power model, so (like runDtm) the store lookup
-    // comes first: a warm fast-path run performs zero core simulations
-    // for the models themselves.
-    IntervalModel model;
-    const bool from_store =
-        store_ && store_->loadIntervalModel(benchmark, key_hash, model);
-    if (!from_store) {
-        model = fitIntervalModel(benchmarkByName(benchmark), cfg, iopts,
-                                 intervalFamilyHash(cfg),
-                                 configHash(cfg), cancel);
-        if (store_)
-            store_->storeIntervalModel(benchmark, key_hash, model);
-    }
-    {
-        LockGuard lock(interval_mu_);
-        interval_cache_.emplace(key, model);
-    }
-    return model;
+    // Fitting needs no power model, so the store lookup alone makes a
+    // warm fast-path run perform zero core simulations for the models.
+    return interval_memo_.get(
+        store_.get(), benchmark, intervalModelKey(cfg, iopts), [&] {
+            return fitIntervalModel(benchmarkByName(benchmark), cfg, iopts,
+                                    intervalFamilyHash(cfg),
+                                    configHash(cfg), cancel);
+        });
 }
 
 DtmReport

@@ -8,7 +8,7 @@
  * to call concurrently from the experiment thread pool. Each run owns
  * its trace generator, RNG, and core, so runs are independent; the
  * shared state is the lazily-calibrated power model (guarded by a
- * std::once_flag) and the memoizing CoreResult cache (mutex-guarded).
+ * std::once_flag) and one mutex-guarded memo per artifact kind.
  */
 
 #ifndef TH_SIM_SYSTEM_H
@@ -207,22 +207,78 @@ class System
     // th_lint: guards(power_ — calibrated exactly once before first read)
     mutable std::once_flag calibrate_once_;
 
-    mutable Mutex cache_mu_;
-    mutable std::unordered_map<std::string, CoreResult> // th_lint: excluded(lookup-only cache; never iterated)
-        core_cache_ TH_GUARDED_BY(cache_mu_);
-    mutable Mutex dtm_mu_;
-    mutable std::unordered_map<std::string, DtmReport> // th_lint: excluded(lookup-only cache; never iterated)
-        dtm_cache_ TH_GUARDED_BY(dtm_mu_);
-    mutable Mutex interval_mu_;
-    mutable std::unordered_map<std::string, IntervalModel> // th_lint: excluded(lookup-only cache; never iterated)
-        interval_cache_ TH_GUARDED_BY(interval_mu_);
-    mutable Mutex multicore_mu_;
-    mutable std::unordered_map<std::string, MulticoreReport> // th_lint: excluded(lookup-only cache; never iterated)
-        multicore_cache_ TH_GUARDED_BY(multicore_mu_);
-    mutable std::atomic<std::uint64_t> cache_hits_{0};
-    mutable std::atomic<std::uint64_t> cache_misses_{0};
+    /**
+     * Memo of one artifact kind: memory, then the store, then compute.
+     * Safe to call concurrently; two concurrent misses of one key both
+     * compute (bit-identical results) and the first insert wins.
+     */
+    template <typename T>
+    class Memo
+    {
+      public:
+        /**
+         * The memoized @p T of (@p benchmark, @p key_hash): a memory
+         * hit, else a store hit, else @p compute() persisted to the
+         * store; either way inserted into memory.
+         */
+        template <typename Compute>
+        T get(ArtifactStore *store, const std::string &benchmark,
+              std::uint64_t key_hash, Compute &&compute)
+        {
+            const std::string key =
+                benchmark + '\0' + std::to_string(key_hash);
+            {
+                LockGuard lock(mu_);
+                auto it = map_.find(key);
+                if (it != map_.end()) {
+                    hits_.fetch_add(1, std::memory_order_relaxed);
+                    return it->second;
+                }
+            }
+            misses_.fetch_add(1, std::memory_order_relaxed);
+            // A corrupt store entry is quarantined inside load() and
+            // falls through to recomputation.
+            T value;
+            if (store == nullptr ||
+                !store->load(benchmark, key_hash, value)) {
+                value = compute();
+                if (store != nullptr)
+                    store->save(benchmark, key_hash, value);
+            }
+            LockGuard lock(mu_);
+            map_.emplace(key, value);
+            return value;
+        }
 
-    /** Disk-backed CoreResult store; null when disabled. */
+        CacheStats stats() const
+        {
+            return {hits_.load(std::memory_order_relaxed),
+                    misses_.load(std::memory_order_relaxed)};
+        }
+
+        /** Drop every memoized value and reset the counters. */
+        void clear()
+        {
+            LockGuard lock(mu_);
+            map_.clear();
+            hits_.store(0, std::memory_order_relaxed);
+            misses_.store(0, std::memory_order_relaxed);
+        }
+
+      private:
+        Mutex mu_;
+        std::unordered_map<std::string, T> // th_lint: excluded(lookup-only cache; never iterated)
+            map_ TH_GUARDED_BY(mu_);
+        std::atomic<std::uint64_t> hits_{0};
+        std::atomic<std::uint64_t> misses_{0};
+    };
+
+    mutable Memo<CoreResult> core_memo_;
+    mutable Memo<DtmReport> dtm_memo_;
+    mutable Memo<IntervalModel> interval_memo_;
+    mutable Memo<MulticoreReport> multicore_memo_;
+
+    /** Disk-backed artifact store; null when disabled. */
     mutable std::unique_ptr<ArtifactStore> store_;
 };
 

@@ -1,14 +1,16 @@
 #include "store/artifact_store.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <system_error>
+#include <tuple>
+#include <type_traits>
 
 #include <unistd.h>
 
 #include "common/log.h"
-#include "io/serialize.h"
 
 namespace fs = std::filesystem;
 
@@ -16,14 +18,6 @@ namespace th {
 
 namespace {
 
-/** Extension of committed CoreResult artifacts. */
-constexpr const char *kEntryExt = ".cr";
-/** Extension of committed DtmReport artifacts. */
-constexpr const char *kDtmExt = ".dtm";
-/** Extension of committed IntervalModel artifacts. */
-constexpr const char *kIntervalExt = ".imdl";
-/** Extension of committed MulticoreReport artifacts. */
-constexpr const char *kMulticoreExt = ".mc";
 /** Extension quarantined (corrupt) artifacts are renamed to. */
 constexpr const char *kBadExt = ".bad";
 
@@ -42,6 +36,42 @@ sanitize(const std::string &name)
         out.push_back(ok ? c : '_');
     }
     return out;
+}
+
+/** Decode one @p T payload into a scratch value (verify's check). */
+template <typename T>
+bool
+decodesAs(Decoder &dec)
+{
+    T scratch;
+    return artifactKind<T>().decode(dec, scratch);
+}
+
+/** One descriptor row with its payload type erased. */
+struct KindRow
+{
+    ArtifactFormat format;
+    bool (*check)(Decoder &);
+};
+
+/** The descriptor table as type-erased rows, for list() and verify(). */
+constexpr auto kKindRows = std::apply(
+    [](const auto &...kind) {
+        return std::array{KindRow{
+            kind.format,
+            decodesAs<typename std::decay_t<decltype(kind)>::Value>}...};
+    },
+    kArtifactKinds);
+
+/** The first row whose format satisfies @p pred, or null. */
+template <typename Pred>
+const KindRow *
+findRow(Pred pred)
+{
+    for (const KindRow &row : kKindRows)
+        if (pred(row.format))
+            return &row;
+    return nullptr;
 }
 
 std::int64_t
@@ -72,99 +102,26 @@ ArtifactStore::ArtifactStore(const StoreOptions &opts) : opts_(opts)
 }
 
 std::string
-ArtifactStore::entryPath(const std::string &benchmark,
-                         std::uint64_t cfg_hash) const
+ArtifactStore::entryPath(const ArtifactFormat &format,
+                         const std::string &benchmark,
+                         std::uint64_t key) const
 {
     return (fs::path(opts_.dir) /
             strformat("%s-%016llx%s", sanitize(benchmark).c_str(),
-                      static_cast<unsigned long long>(cfg_hash),
-                      kEntryExt))
-        .string();
-}
-
-std::string
-ArtifactStore::dtmEntryPath(const std::string &benchmark,
-                            std::uint64_t key) const
-{
-    return (fs::path(opts_.dir) /
-            strformat("%s-%016llx%s", sanitize(benchmark).c_str(),
-                      static_cast<unsigned long long>(key), kDtmExt))
-        .string();
-}
-
-std::string
-ArtifactStore::intervalEntryPath(const std::string &benchmark,
-                                 std::uint64_t key) const
-{
-    return (fs::path(opts_.dir) /
-            strformat("%s-%016llx%s", sanitize(benchmark).c_str(),
-                      static_cast<unsigned long long>(key),
-                      kIntervalExt))
-        .string();
-}
-
-std::string
-ArtifactStore::multicoreEntryPath(const std::string &benchmark,
-                                  std::uint64_t key) const
-{
-    return (fs::path(opts_.dir) /
-            strformat("%s-%016llx%s", sanitize(benchmark).c_str(),
-                      static_cast<unsigned long long>(key),
-                      kMulticoreExt))
+                      static_cast<unsigned long long>(key), format.ext))
         .string();
 }
 
 bool
 ArtifactStore::readEntry(const std::string &path,
-                         const std::string &benchmark,
-                         std::uint64_t cfg_hash, CoreResult *out) const
+                         const ArtifactFormat &format,
+                         const std::string &benchmark, std::uint64_t key,
+                         const PayloadDecoder &decode) const
 {
     std::uint32_t schema = 0;
     std::string err;
     ChunkFileReader reader;
-    if (!reader.open(path, kCoreResultFormatTag, schema, err))
-        return false;
-    if (schema != kStoreSchemaVersion)
-        return false;
-
-    bool meta_ok = false, result_ok = false;
-    std::string tag;
-    std::vector<std::uint8_t> payload;
-    for (;;) {
-        const ChunkReader::Next what = reader.next(tag, payload, err);
-        if (what == ChunkReader::Next::End)
-            break;
-        if (what == ChunkReader::Next::Corrupt)
-            return false;
-        if (tag == "META") {
-            Decoder d(payload);
-            const std::string bench = d.str();
-            const std::uint64_t hash = d.u64();
-            if (!d.ok() || bench != benchmark || hash != cfg_hash)
-                return false;
-            meta_ok = true;
-        } else if (tag == "CRES") {
-            Decoder d(payload);
-            CoreResult r;
-            if (!decodeCoreResult(d, r) || !d.atEnd())
-                return false;
-            if (out)
-                *out = r;
-            result_ok = true;
-        }
-    }
-    return meta_ok && result_ok;
-}
-
-bool
-ArtifactStore::readDtmEntry(const std::string &path,
-                            const std::string &benchmark,
-                            std::uint64_t key, DtmReport *out) const
-{
-    std::uint32_t schema = 0;
-    std::string err;
-    ChunkFileReader reader;
-    if (!reader.open(path, kDtmReportFormatTag, schema, err))
+    if (!reader.open(path, format.tag, schema, err))
         return false;
     if (schema != kStoreSchemaVersion)
         return false;
@@ -185,99 +142,12 @@ ArtifactStore::readDtmEntry(const std::string &path,
             if (!d.ok() || bench != benchmark || hash != key)
                 return false;
             meta_ok = true;
-        } else if (tag == "DTMR") {
+        } else if (tag == format.tag) {
+            // Committed entries hold exactly one payload chunk; a second
+            // one would decode on top of the first.
             Decoder d(payload);
-            DtmReport r;
-            if (!decodeDtmReport(d, r) || !d.atEnd())
+            if (result_ok || !decode(d) || !d.atEnd())
                 return false;
-            if (out)
-                *out = r;
-            result_ok = true;
-        }
-    }
-    return meta_ok && result_ok;
-}
-
-bool
-ArtifactStore::readIntervalEntry(const std::string &path,
-                                 const std::string &benchmark,
-                                 std::uint64_t key,
-                                 IntervalModel *out) const
-{
-    std::uint32_t schema = 0;
-    std::string err;
-    ChunkFileReader reader;
-    if (!reader.open(path, kIntervalModelFormatTag, schema, err))
-        return false;
-    if (schema != kStoreSchemaVersion)
-        return false;
-
-    bool meta_ok = false, result_ok = false;
-    std::string tag;
-    std::vector<std::uint8_t> payload;
-    for (;;) {
-        const ChunkReader::Next what = reader.next(tag, payload, err);
-        if (what == ChunkReader::Next::End)
-            break;
-        if (what == ChunkReader::Next::Corrupt)
-            return false;
-        if (tag == "META") {
-            Decoder d(payload);
-            const std::string bench = d.str();
-            const std::uint64_t hash = d.u64();
-            if (!d.ok() || bench != benchmark || hash != key)
-                return false;
-            meta_ok = true;
-        } else if (tag == "IMDL") {
-            Decoder d(payload);
-            IntervalModel m;
-            if (!decodeIntervalModel(d, m) || !d.atEnd())
-                return false;
-            if (out)
-                *out = std::move(m);
-            result_ok = true;
-        }
-    }
-    return meta_ok && result_ok;
-}
-
-bool
-ArtifactStore::readMulticoreEntry(const std::string &path,
-                                  const std::string &benchmark,
-                                  std::uint64_t key,
-                                  MulticoreReport *out) const
-{
-    std::uint32_t schema = 0;
-    std::string err;
-    ChunkFileReader reader;
-    if (!reader.open(path, kMulticoreReportFormatTag, schema, err))
-        return false;
-    if (schema != kStoreSchemaVersion)
-        return false;
-
-    bool meta_ok = false, result_ok = false;
-    std::string tag;
-    std::vector<std::uint8_t> payload;
-    for (;;) {
-        const ChunkReader::Next what = reader.next(tag, payload, err);
-        if (what == ChunkReader::Next::End)
-            break;
-        if (what == ChunkReader::Next::Corrupt)
-            return false;
-        if (tag == "META") {
-            Decoder d(payload);
-            const std::string bench = d.str();
-            const std::uint64_t hash = d.u64();
-            if (!d.ok() || bench != benchmark || hash != key)
-                return false;
-            meta_ok = true;
-        } else if (tag == "MCRE") {
-            Decoder d(payload);
-            MulticoreReport r;
-            if (!decodeMulticoreReport(d, r) || !d.atEnd())
-                return false;
-            if (out)
-                *out = std::move(r);
             result_ok = true;
         }
     }
@@ -324,12 +194,13 @@ ArtifactStore::quarantine(const std::string &path)
 }
 
 bool
-ArtifactStore::loadCoreResult(const std::string &benchmark,
-                              std::uint64_t cfg_hash, CoreResult &out)
+ArtifactStore::loadEntry(const ArtifactFormat &format,
+                         const std::string &benchmark, std::uint64_t key,
+                         const PayloadDecoder &decode)
 {
     if (!enabled())
         return false;
-    const std::string path = entryPath(benchmark, cfg_hash);
+    const std::string path = entryPath(format, benchmark, key);
 
     LockGuard lock(mu_);
     std::error_code ec;
@@ -337,7 +208,7 @@ ArtifactStore::loadCoreResult(const std::string &benchmark,
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    if (!readEntry(path, benchmark, cfg_hash, &out)) {
+    if (!readEntry(path, format, benchmark, key, decode)) {
         // Distinguish a concurrent eviction (the file vanished under
         // us — benign, another process gc'd it) from real corruption
         // before quarantining: quarantine on ENOENT would manufacture
@@ -364,107 +235,13 @@ ArtifactStore::loadCoreResult(const std::string &benchmark,
 }
 
 bool
-ArtifactStore::loadDtmReport(const std::string &benchmark,
-                             std::uint64_t key, DtmReport &out)
+ArtifactStore::commitEntry(const ArtifactFormat &format,
+                           const std::string &benchmark,
+                           std::uint64_t key, const Encoder &body)
 {
     if (!enabled())
         return false;
-    const std::string path = dtmEntryPath(benchmark, key);
-
-    LockGuard lock(mu_);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!readDtmEntry(path, benchmark, key, &out)) {
-        if (noteIfRaceLost(path)) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        warn("artifact store: corrupt entry '%s'; quarantined, "
-             "recomputing", path.c_str());
-        quarantine(path);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!touchEntry(path) && !noteIfRaceLost(path))
-        noteTouchFailure(path);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-ArtifactStore::loadIntervalModel(const std::string &benchmark,
-                                 std::uint64_t key, IntervalModel &out)
-{
-    if (!enabled())
-        return false;
-    const std::string path = intervalEntryPath(benchmark, key);
-
-    LockGuard lock(mu_);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!readIntervalEntry(path, benchmark, key, &out)) {
-        if (noteIfRaceLost(path)) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        warn("artifact store: corrupt entry '%s'; quarantined, "
-             "recomputing", path.c_str());
-        quarantine(path);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!touchEntry(path) && !noteIfRaceLost(path))
-        noteTouchFailure(path);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-ArtifactStore::loadMulticoreReport(const std::string &benchmark,
-                                   std::uint64_t key,
-                                   MulticoreReport &out)
-{
-    if (!enabled())
-        return false;
-    const std::string path = multicoreEntryPath(benchmark, key);
-
-    LockGuard lock(mu_);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!readMulticoreEntry(path, benchmark, key, &out)) {
-        if (noteIfRaceLost(path)) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        warn("artifact store: corrupt entry '%s'; quarantined, "
-             "recomputing", path.c_str());
-        quarantine(path);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!touchEntry(path) && !noteIfRaceLost(path))
-        noteTouchFailure(path);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-ArtifactStore::storeMulticoreReport(const std::string &benchmark,
-                                    std::uint64_t key,
-                                    const MulticoreReport &rep)
-{
-    if (!enabled())
-        return false;
-    const std::string path = multicoreEntryPath(benchmark, key);
+    const std::string path = entryPath(format, benchmark, key);
     const std::string tmp = strformat(
         "%s.tmp.%d.%llu", path.c_str(), static_cast<int>(getpid()),
         static_cast<unsigned long long>(
@@ -473,147 +250,12 @@ ArtifactStore::storeMulticoreReport(const std::string &benchmark,
     Encoder meta;
     meta.str(benchmark);
     meta.u64(key);
-    Encoder body;
-    encodeMulticoreReport(body, rep);
 
     LockGuard lock(mu_);
     ChunkFileWriter writer;
-    bool ok = writer.open(tmp, kMulticoreReportFormatTag,
-                          kStoreSchemaVersion);
+    bool ok = writer.open(tmp, format.tag, kStoreSchemaVersion);
     ok = ok && writer.chunk("META", meta);
-    ok = ok && writer.chunk("MCRE", body);
-    ok = writer.close() && ok;
-    if (!ok) {
-        warn("artifact store: failed to write '%s'", tmp.c_str());
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec); // Atomic commit.
-    if (ec) {
-        warn("artifact store: cannot commit '%s' (%s)", path.c_str(),
-             ec.message().c_str());
-        fs::remove(tmp, ec);
-        return false;
-    }
-    stores_.fetch_add(1, std::memory_order_relaxed);
-    enforceCapLocked();
-    return true;
-}
-
-bool
-ArtifactStore::storeIntervalModel(const std::string &benchmark,
-                                  std::uint64_t key,
-                                  const IntervalModel &m)
-{
-    if (!enabled())
-        return false;
-    const std::string path = intervalEntryPath(benchmark, key);
-    const std::string tmp = strformat(
-        "%s.tmp.%d.%llu", path.c_str(), static_cast<int>(getpid()),
-        static_cast<unsigned long long>(
-            tmp_counter.fetch_add(1, std::memory_order_relaxed)));
-
-    Encoder meta;
-    meta.str(benchmark);
-    meta.u64(key);
-    Encoder body;
-    encodeIntervalModel(body, m);
-
-    LockGuard lock(mu_);
-    ChunkFileWriter writer;
-    bool ok =
-        writer.open(tmp, kIntervalModelFormatTag, kStoreSchemaVersion);
-    ok = ok && writer.chunk("META", meta);
-    ok = ok && writer.chunk("IMDL", body);
-    ok = writer.close() && ok;
-    if (!ok) {
-        warn("artifact store: failed to write '%s'", tmp.c_str());
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec); // Atomic commit.
-    if (ec) {
-        warn("artifact store: cannot commit '%s' (%s)", path.c_str(),
-             ec.message().c_str());
-        fs::remove(tmp, ec);
-        return false;
-    }
-    stores_.fetch_add(1, std::memory_order_relaxed);
-    enforceCapLocked();
-    return true;
-}
-
-bool
-ArtifactStore::storeDtmReport(const std::string &benchmark,
-                              std::uint64_t key, const DtmReport &rep)
-{
-    if (!enabled())
-        return false;
-    const std::string path = dtmEntryPath(benchmark, key);
-    const std::string tmp = strformat(
-        "%s.tmp.%d.%llu", path.c_str(), static_cast<int>(getpid()),
-        static_cast<unsigned long long>(
-            tmp_counter.fetch_add(1, std::memory_order_relaxed)));
-
-    Encoder meta;
-    meta.str(benchmark);
-    meta.u64(key);
-    Encoder body;
-    encodeDtmReport(body, rep);
-
-    LockGuard lock(mu_);
-    ChunkFileWriter writer;
-    bool ok = writer.open(tmp, kDtmReportFormatTag, kStoreSchemaVersion);
-    ok = ok && writer.chunk("META", meta);
-    ok = ok && writer.chunk("DTMR", body);
-    ok = writer.close() && ok;
-    if (!ok) {
-        warn("artifact store: failed to write '%s'", tmp.c_str());
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec); // Atomic commit.
-    if (ec) {
-        warn("artifact store: cannot commit '%s' (%s)", path.c_str(),
-             ec.message().c_str());
-        fs::remove(tmp, ec);
-        return false;
-    }
-    stores_.fetch_add(1, std::memory_order_relaxed);
-    enforceCapLocked();
-    return true;
-}
-
-bool
-ArtifactStore::storeCoreResult(const std::string &benchmark,
-                               std::uint64_t cfg_hash,
-                               const CoreResult &r)
-{
-    if (!enabled())
-        return false;
-    const std::string path = entryPath(benchmark, cfg_hash);
-    const std::string tmp = strformat(
-        "%s.tmp.%d.%llu", path.c_str(), static_cast<int>(getpid()),
-        static_cast<unsigned long long>(
-            tmp_counter.fetch_add(1, std::memory_order_relaxed)));
-
-    Encoder meta;
-    meta.str(benchmark);
-    meta.u64(cfg_hash);
-    Encoder cres;
-    encodeCoreResult(cres, r);
-
-    LockGuard lock(mu_);
-    ChunkFileWriter writer;
-    bool ok = writer.open(tmp, kCoreResultFormatTag, kStoreSchemaVersion);
-    ok = ok && writer.chunk("META", meta);
-    ok = ok && writer.chunk("CRES", cres);
+    ok = ok && writer.chunk(format.tag, body);
     ok = writer.close() && ok;
     if (!ok) {
         warn("artifact store: failed to write '%s'", tmp.c_str());
@@ -660,11 +302,11 @@ ArtifactStore::list() const
         const std::string name = p.filename().string();
         const bool bad = name.size() > 4 &&
             name.compare(name.size() - 4, 4, kBadExt) == 0;
-        const bool core = !bad && p.extension() == kEntryExt;
-        const bool dtm = !bad && p.extension() == kDtmExt;
-        const bool imdl = !bad && p.extension() == kIntervalExt;
-        const bool mcre = !bad && p.extension() == kMulticoreExt;
-        if (!bad && !core && !dtm && !imdl && !mcre)
+        const KindRow *row = bad ? nullptr
+                                 : findRow([&](const ArtifactFormat &f) {
+                                       return p.extension() == f.ext;
+                                   });
+        if (!bad && row == nullptr)
             continue; // Temp files and strangers.
         Entry e;
         e.path = p.string();
@@ -672,17 +314,13 @@ ArtifactStore::list() const
         std::error_code sec;
         e.bytes = fs::file_size(p, sec);
         e.mtimeNs = mtimeNsOf(p);
-        if (core || dtm || imdl || mcre) {
+        if (row != nullptr) {
             // Best-effort metadata read (for display only).
-            const char *format = core ? kCoreResultFormatTag
-                                 : dtm  ? kDtmReportFormatTag
-                                 : imdl ? kIntervalModelFormatTag
-                                        : kMulticoreReportFormatTag;
             std::uint32_t schema = 0;
             std::string err, tag;
             std::vector<std::uint8_t> payload;
             ChunkFileReader reader;
-            if (reader.open(e.path, format, schema, err) &&
+            if (reader.open(e.path, row->format.tag, schema, err) &&
                 reader.next(tag, payload, err) ==
                     ChunkReader::Next::Chunk &&
                 tag == "META") {
@@ -693,7 +331,7 @@ ArtifactStore::list() const
                     e.benchmark.clear();
                     e.cfgHash = 0;
                 } else {
-                    e.format = format;
+                    e.format = row->format.tag;
                 }
             }
         }
@@ -763,20 +401,14 @@ ArtifactStore::verify()
             continue;
         }
         // Validate against the key encoded in the filename-independent
-        // META chunk; an unreadable META yields an empty benchmark and
-        // fails the check below. DTMR/IMDL entries validate with their
-        // own readers (the format tag dispatches).
-        bool valid;
-        if (e.format == kDtmReportFormatTag)
-            valid = readDtmEntry(e.path, e.benchmark, e.cfgHash, nullptr);
-        else if (e.format == kIntervalModelFormatTag)
-            valid = readIntervalEntry(e.path, e.benchmark, e.cfgHash,
-                                      nullptr);
-        else if (e.format == kMulticoreReportFormatTag)
-            valid = readMulticoreEntry(e.path, e.benchmark, e.cfgHash,
-                                       nullptr);
-        else
-            valid = readEntry(e.path, e.benchmark, e.cfgHash, nullptr);
+        // META chunk with the reader of the entry's own kind; an
+        // unreadable META leaves the format empty and fails here.
+        const KindRow *row = findRow([&](const ArtifactFormat &f) {
+            return e.format == f.tag;
+        });
+        const bool valid = row != nullptr &&
+            readEntry(e.path, row->format, e.benchmark, e.cfgHash,
+                      row->check);
         if (!valid) {
             warn("artifact store: '%s' failed verification; "
                  "quarantined", e.path.c_str());

@@ -1,11 +1,16 @@
 /**
  * @file
- * Disk-backed artifact store: persists CoreResults across processes so
- * a warm re-run of a full figure sweep skips core simulation entirely.
+ * Disk-backed artifact store: persists simulation results across
+ * processes so a warm re-run of a sweep skips simulation entirely.
+ * Every kind of result goes through the same code, driven by its row
+ * in the descriptor table (store/artifact_kinds.h): one entry per
+ * (kind, benchmark, key), named `<benchmark>-<key><ext>`, holding a
+ * META chunk with the key and one payload chunk tagged like the
+ * container.
  *
- * Entries are keyed by (benchmark, configHash(cfg), schema version);
- * the schema version covers both the CoreResult encoding
- * (io/serialize.h) and the meaning of configHash — bump
+ * Entries are keyed by (benchmark, key hash, schema version); the
+ * schema version covers every payload encoding (io/serialize.h) and
+ * the meaning of the key hashes (sim/configs.h) — bump
  * kStoreSchemaVersion whenever either changes and every stale artifact
  * is invalidated instead of silently misread.
  *
@@ -30,37 +35,24 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "core/pipeline.h"
-#include "dtm/engine.h"
-#include "interval/model.h"
-#include "multicore/multicore.h"
+#include "store/artifact_kinds.h"
 
 namespace th {
 
 /**
- * On-disk schema version. Covers the CoreResult/DtmReport field
- * encodings AND the configHash key semantics: bump it when
- * io/serialize.h changes shape or when sim/configs.cpp's configHash
- * gains/loses/reorders fields (the golden-hash test in
- * tests/test_configs.cpp pins the latter).
+ * On-disk schema version, written into every entry's container
+ * header. Covers every payload encoding AND the key-hash semantics:
+ * bump it when io/serialize.h changes any encoded field set or order,
+ * or when a key hash in sim/configs.cpp gains/loses/reorders fields
+ * (the golden-hash test in tests/test_configs.cpp pins the latter).
  */
 inline constexpr std::uint32_t kStoreSchemaVersion = 1;
-
-/** Container format tag of persisted CoreResult artifacts. */
-inline constexpr const char *kCoreResultFormatTag = "CRES";
-
-/** Container format tag of persisted DtmReport artifacts. */
-inline constexpr const char *kDtmReportFormatTag = "DTMR";
-
-/** Container format tag of persisted IntervalModel artifacts. */
-inline constexpr const char *kIntervalModelFormatTag = "IMDL";
-
-/** Container format tag of persisted MulticoreReport artifacts. */
-inline constexpr const char *kMulticoreReportFormatTag = "MCRE";
 
 /** Store configuration. */
 struct StoreOptions
@@ -102,48 +94,49 @@ class ArtifactStore
     const std::string &dir() const { return opts_.dir; }
 
     /**
-     * Look up the result of (benchmark, cfg_hash). True on a verified
-     * hit; false on absence or on a corrupt entry (which is counted,
-     * quarantined, and warned about — the caller just recomputes).
+     * Look up the @p T artifact of (@p benchmark, @p key). True on a
+     * verified hit; false on absence or on a corrupt entry (which is
+     * counted, quarantined, and warned about — the caller just
+     * recomputes). @p out is only written on a hit. @p key is the
+     * kind's key hash from sim/configs.h (configHash, dtmConfigHash,
+     * intervalModelKey, multicoreConfigHash).
      */
+    template <typename T>
+    bool load(const std::string &benchmark, std::uint64_t key, T &out)
+    {
+        const ArtifactKind<T> &kind = artifactKind<T>();
+        T value;
+        if (!loadEntry(kind.format, benchmark, key, [&](Decoder &dec) {
+                return kind.decode(dec, value);
+            }))
+            return false;
+        out = std::move(value);
+        return true;
+    }
+
+    /** Persist the @p T artifact of (@p benchmark, @p key): atomic
+     *  commit + LRU sweep. */
+    template <typename T>
+    bool save(const std::string &benchmark, std::uint64_t key,
+              const T &value)
+    {
+        const ArtifactKind<T> &kind = artifactKind<T>();
+        Encoder body;
+        kind.encode(body, value);
+        return commitEntry(kind.format, benchmark, key, body);
+    }
+
+    /** load/save under the names the end-to-end benchmark calls. */
     bool loadCoreResult(const std::string &benchmark,
-                        std::uint64_t cfg_hash, CoreResult &out);
-
-    /** Persist a result (atomic commit + LRU sweep). */
+                        std::uint64_t cfg_hash, CoreResult &out)
+    {
+        return load(benchmark, cfg_hash, out);
+    }
     bool storeCoreResult(const std::string &benchmark,
-                         std::uint64_t cfg_hash, const CoreResult &r);
-
-    /**
-     * DtmReport variants — same contract as the CoreResult pair.
-     * @p key folds the config hash with every DtmOptions knob (see
-     * System::runDtm), so distinct DTM setups never alias.
-     */
-    bool loadDtmReport(const std::string &benchmark, std::uint64_t key,
-                       DtmReport &out);
-    bool storeDtmReport(const std::string &benchmark, std::uint64_t key,
-                        const DtmReport &rep);
-
-    /**
-     * IntervalModel variants — same contract as the CoreResult pair.
-     * @p key is intervalModelKey(cfg, opts) (sim/configs.h): the
-     * config-family hash folded with every fitting knob.
-     */
-    bool loadIntervalModel(const std::string &benchmark,
-                           std::uint64_t key, IntervalModel &out);
-    bool storeIntervalModel(const std::string &benchmark,
-                            std::uint64_t key, const IntervalModel &m);
-
-    /**
-     * MulticoreReport variants — same contract as the CoreResult pair.
-     * @p key is multicoreConfigHash(cfg, mc) (sim/configs.h); the
-     * @p benchmark string names the whole per-core mix (the resolved
-     * benchmark names joined with '+'), so distinct mixes never alias.
-     */
-    bool loadMulticoreReport(const std::string &benchmark,
-                             std::uint64_t key, MulticoreReport &out);
-    bool storeMulticoreReport(const std::string &benchmark,
-                              std::uint64_t key,
-                              const MulticoreReport &rep);
+                         std::uint64_t cfg_hash, const CoreResult &r)
+    {
+        return save(benchmark, cfg_hash, r);
+    }
 
     StoreStats stats() const;
 
@@ -156,7 +149,7 @@ class ArtifactStore
         std::uint64_t bytes = 0;
         std::int64_t mtimeNs = 0; ///< For LRU ordering / display.
         bool quarantined = false; ///< *.bad leftover.
-        /** "CRES"/"DTMR"/"IMDL"/"MCRE"; "" if unreadable. */
+        /** The kind's format tag; "" if unreadable. */
         std::string format;
     };
 
@@ -195,28 +188,25 @@ class ArtifactStore
     virtual bool touchEntry(const std::string &path) TH_REQUIRES(mu_);
 
   private:
-    std::string entryPath(const std::string &benchmark,
-                          std::uint64_t cfg_hash) const;
-    std::string dtmEntryPath(const std::string &benchmark,
-                             std::uint64_t key) const;
-    std::string intervalEntryPath(const std::string &benchmark,
-                                  std::uint64_t key) const;
-    std::string multicoreEntryPath(const std::string &benchmark,
-                                   std::uint64_t key) const;
-    bool readEntry(const std::string &path, const std::string &benchmark,
-                   std::uint64_t cfg_hash, CoreResult *out) const
-        TH_REQUIRES(mu_);
-    bool readDtmEntry(const std::string &path,
-                      const std::string &benchmark, std::uint64_t key,
-                      DtmReport *out) const TH_REQUIRES(mu_);
-    bool readIntervalEntry(const std::string &path,
-                           const std::string &benchmark,
-                           std::uint64_t key, IntervalModel *out) const
-        TH_REQUIRES(mu_);
-    bool readMulticoreEntry(const std::string &path,
-                            const std::string &benchmark,
-                            std::uint64_t key, MulticoreReport *out)
-        const TH_REQUIRES(mu_);
+    /** Decodes the payload chunk (the caller checks it is consumed). */
+    using PayloadDecoder = std::function<bool(Decoder &)>;
+
+    std::string entryPath(const ArtifactFormat &format,
+                          const std::string &benchmark,
+                          std::uint64_t key) const;
+    /** The load transaction behind load(). */
+    bool loadEntry(const ArtifactFormat &format,
+                   const std::string &benchmark, std::uint64_t key,
+                   const PayloadDecoder &decode);
+    /** The commit transaction behind save(). */
+    bool commitEntry(const ArtifactFormat &format,
+                     const std::string &benchmark, std::uint64_t key,
+                     const Encoder &body);
+    /** Validate @p path as a @p format entry of (@p benchmark, @p key),
+     *  handing its one payload chunk to @p decode. */
+    bool readEntry(const std::string &path, const ArtifactFormat &format,
+                   const std::string &benchmark, std::uint64_t key,
+                   const PayloadDecoder &decode) const TH_REQUIRES(mu_);
     void quarantine(const std::string &path) TH_REQUIRES(mu_);
     /** Count a failed touchEntry and warn the first time. */
     void noteTouchFailure(const std::string &path) TH_REQUIRES(mu_);

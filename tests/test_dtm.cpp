@@ -1,20 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "dtm/engine.h"
 #include "dtm/policy.h"
 #include "io/serialize.h"
 #include "sim/configs.h"
 #include "sim/experiments.h"
 #include "sim/system.h"
-#include "store/artifact_store.h"
 
 namespace th {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------
 // Policies.
@@ -236,114 +230,6 @@ TEST(DtmConfigHash, SensitiveToEveryKnob)
     CoreConfig other = cfg;
     other.robSize += 8;
     EXPECT_NE(dtmConfigHash(other, base), h0) << "core config";
-}
-
-// ---------------------------------------------------------------------
-// Store round trip of DTMR artifacts.
-// ---------------------------------------------------------------------
-
-class DtmStoreTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        dir_ = fs::path(::testing::TempDir()) /
-               ("thdtm-" + std::string(::testing::UnitTest::GetInstance()
-                                           ->current_test_info()
-                                           ->name()));
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-
-    void TearDown() override
-    {
-        std::error_code ec;
-        fs::remove_all(dir_, ec);
-    }
-
-    StoreOptions options() const
-    {
-        StoreOptions o;
-        o.dir = dir_.string();
-        o.maxBytes = 0;
-        return o;
-    }
-
-    fs::path onlyDtmEntry() const
-    {
-        fs::path found;
-        for (const auto &de : fs::directory_iterator(dir_))
-            if (de.path().extension() == ".dtm") {
-                EXPECT_TRUE(found.empty()) << "more than one entry";
-                found = de.path();
-            }
-        EXPECT_FALSE(found.empty()) << "no .dtm entry found";
-        return found;
-    }
-
-    fs::path dir_;
-};
-
-TEST_F(DtmStoreTest, StoreThenLoadRoundTrips)
-{
-    ArtifactStore store(options());
-    const DtmReport r = sampleReport();
-    ASSERT_TRUE(store.storeDtmReport("mpeg2enc", 0xD7D7, r));
-
-    DtmReport back;
-    ASSERT_TRUE(store.loadDtmReport("mpeg2enc", 0xD7D7, back));
-    EXPECT_EQ(serializeDtmReport(back), serializeDtmReport(r));
-    EXPECT_EQ(store.stats().hits, 1u);
-    EXPECT_EQ(store.stats().misses, 0u);
-
-    // Wrong key and wrong benchmark both miss without crashing.
-    EXPECT_FALSE(store.loadDtmReport("mpeg2enc", 0xBEEF, back));
-    EXPECT_FALSE(store.loadDtmReport("gzip", 0xD7D7, back));
-    EXPECT_EQ(store.stats().misses, 2u);
-}
-
-TEST_F(DtmStoreTest, CorruptDtmEntryQuarantined)
-{
-    ArtifactStore store(options());
-    ASSERT_TRUE(store.storeDtmReport("mpeg2enc", 0x1, sampleReport()));
-    const fs::path entry = onlyDtmEntry();
-    {
-        std::fstream f(entry, std::ios::in | std::ios::out |
-                                  std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        f.seekp(static_cast<std::streamoff>(fs::file_size(entry) / 2));
-        f.put('\x55');
-    }
-
-    DtmReport back;
-    EXPECT_FALSE(store.loadDtmReport("mpeg2enc", 0x1, back));
-    EXPECT_EQ(store.stats().corrupt, 1u);
-    EXPECT_FALSE(fs::exists(entry));
-    EXPECT_TRUE(fs::exists(entry.string() + ".bad"));
-}
-
-TEST_F(DtmStoreTest, ListAndVerifyUnderstandBothFormats)
-{
-    ArtifactStore store(options());
-    ASSERT_TRUE(store.storeDtmReport("mpeg2enc", 0x2, sampleReport()));
-    CoreResult cr;
-    cr.freqGhz = 2.66;
-    cr.perf.cycles.set(1000);
-    ASSERT_TRUE(store.storeCoreResult("mpeg2enc", 0x3, cr));
-
-    const auto entries = store.list();
-    ASSERT_EQ(entries.size(), 2u);
-    int cres = 0, dtmr = 0;
-    for (const auto &e : entries) {
-        if (e.format == kCoreResultFormatTag)
-            ++cres;
-        if (e.format == kDtmReportFormatTag)
-            ++dtmr;
-        EXPECT_EQ(e.benchmark, "mpeg2enc");
-    }
-    EXPECT_EQ(cres, 1);
-    EXPECT_EQ(dtmr, 1);
-    EXPECT_EQ(store.verify(), 0) << "both formats re-validate";
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "common/threadpool.h"
 #include "io/serialize.h"
 #include "multicore/contention.h"
@@ -10,12 +8,9 @@
 #include "sim/experiments.h"
 #include "sim/report.h"
 #include "sim/system.h"
-#include "store/artifact_store.h"
 
 namespace th {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------
 // Banked-L2 contention model.
@@ -176,35 +171,6 @@ TEST(MulticoreSerialize, TruncatedReportFailsDecodeAtEveryLength)
         MulticoreReport back;
         EXPECT_FALSE(decodeMulticoreReport(dec, back)) << "cut=" << cut;
     }
-}
-
-TEST(MulticoreStore, StoreThenLoadRoundTrips)
-{
-    const fs::path dir = fs::path(::testing::TempDir()) / "thmc-store";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    StoreOptions o;
-    o.dir = dir.string();
-    o.maxBytes = 0;
-    {
-        ArtifactStore store(o);
-        const MulticoreReport r = sampleReport();
-        ASSERT_TRUE(store.storeMulticoreReport("mpeg2enc+gzip", 0x3C, r));
-    }
-    ArtifactStore store(o);
-    MulticoreReport back;
-    ASSERT_TRUE(store.loadMulticoreReport("mpeg2enc+gzip", 0x3C, back));
-    EXPECT_EQ(serializeMulticoreReport(back),
-              serializeMulticoreReport(sampleReport()));
-    EXPECT_FALSE(store.loadMulticoreReport("mpeg2enc+gzip", 0x1, back));
-    EXPECT_FALSE(store.loadMulticoreReport("gzip", 0x3C, back));
-
-    const auto entries = store.list();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].format, kMulticoreReportFormatTag);
-    EXPECT_EQ(entries[0].benchmark, "mpeg2enc+gzip");
-    EXPECT_EQ(store.verify(), 0);
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <climits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -492,6 +494,87 @@ TEST(NetTest, ShutdownDoesNotTruncateErrorReplyInFlight)
     ASSERT_TRUE(decodeSimResponse(dec, rsp));
     EXPECT_EQ(rsp.status, SimStatus::BadRequest);
     EXPECT_FALSE(rsp.error.empty());
+}
+
+TEST(NetTest, LateAttachToAPublishingFlightIsAnswered)
+{
+    // Regression: onRequest found an in-flight key under flights_mu_
+    // but attached its waiter only after releasing the lock. A worker
+    // that published in between had already taken the waiter list, so
+    // the late connection was never answered — not even by its
+    // deadline, since onDeadline skips finished flights. Connections
+    // hammer one memoized key, so every flight publishes within
+    // microseconds and each attach keeps racing a publish; every call
+    // must be answered before the client gives up.
+    ServerOptions opts = testOptionsNoStore();
+    opts.workers = 2;
+    auto server = std::make_unique<SimServer>(opts);
+    std::string err;
+    ASSERT_TRUE(server->start(err)) << err;
+    const SimRequest req = coreRequest("gcc", "Base");
+    {
+        SimClient primer; // Memoize the key before the race starts.
+        ASSERT_TRUE(primer.connect("127.0.0.1", server->port(), err))
+            << err;
+        SimResponse rsp;
+        ASSERT_TRUE(primer.call(req, rsp, err)) << err;
+        ASSERT_EQ(rsp.status, SimStatus::Ok) << rsp.error;
+    }
+
+    constexpr int kConns = 2;
+    constexpr int kCalls = 20000;
+    std::vector<std::unique_ptr<WireConn>> conns;
+    for (int i = 0; i < kConns; ++i) {
+        Socket sock = Socket::connectTo("127.0.0.1", server->port(), err);
+        ASSERT_TRUE(sock.valid()) << err;
+        conns.push_back(std::make_unique<WireConn>(std::move(sock)));
+        std::string peer;
+        ASSERT_TRUE(conns.back()->helloAsClient(buildInfo(), peer, err))
+            << err;
+    }
+    std::atomic<int> answered{0};
+    std::vector<std::thread> clients;
+    for (auto &conn : conns) {
+        clients.emplace_back([&answered, &req, c = conn.get()] {
+            for (int i = 0; i < kCalls; ++i) {
+                SimResponse rsp;
+                std::string e;
+                if (!c->sendRequest(req) || !c->recvResponse(rsp, e) ||
+                    rsp.status != SimStatus::Ok)
+                    return;
+                answered.fetch_add(1);
+            }
+        });
+    }
+
+    // The client timeout: replies arrive every few microseconds, so
+    // two seconds without one means a call was stranded. Shutting the
+    // sockets down unblocks the stranded reader.
+    int last = -1;
+    auto progressed = std::chrono::steady_clock::now();
+    while (answered.load() < kConns * kCalls) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const auto now = std::chrono::steady_clock::now();
+        if (answered.load() != last) {
+            last = answered.load();
+            progressed = now;
+        } else if (now - progressed > std::chrono::seconds(2)) {
+            break;
+        }
+    }
+    for (auto &conn : conns)
+        conn->shutdownBoth();
+    for (std::thread &t : clients)
+        t.join();
+    if (answered.load() != kConns * kCalls) {
+        ADD_FAILURE() << "a call was never answered after "
+                      << answered.load() << " replies (lost "
+                         "single-flight wakeup)";
+        // The stranded request stays pending, and the server's drain
+        // waits for it forever; leave the server running rather than
+        // hang the suite.
+        (void)server.release();
+    }
 }
 
 /** Live thread count of this process (Linux: /proc/self/task). */

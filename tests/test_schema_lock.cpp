@@ -6,9 +6,10 @@
  *    regenerated from the live sources (so an unintentional codec
  *    change fails ctest, not just the lint CI job);
  *  - a perturbation test proves the teeth: reordering two codec field
- *    writes without bumping kWireSchemaVersion produces a finding that
- *    names both the struct and the constant, while the same edit
- *    *with* a bump asks only for a lock regeneration.
+ *    writes without bumping the guard constant — kWireSchemaVersion for
+ *    SimRequest, kStoreSchemaVersion for CoreResult — produces a
+ *    finding that names both the struct and the constant, while the
+ *    same edit *with* a bump asks only for a lock regeneration.
  *
  * The tests drive the linter in-process through th_lint_lib rather
  * than shelling out, so failures carry the full diagnostic text.
@@ -66,7 +67,8 @@ findingsOf(const std::vector<th_lint::Diagnostic> &diags,
 }
 
 /**
- * A scratch repo holding copies of the real SimRequest sources. Uses
+ * A scratch repo holding copies of the real SimRequest and CoreResult
+ * sources (with the constant guarding CoreResult's encoding). Uses
  * fixture mode so the passes whose rule targets are absent from the
  * mini tree stay silent, exactly like the --self-test fixtures.
  */
@@ -83,10 +85,10 @@ class SchemaPerturbation : public ::testing::Test
                      ->name());
         fs::remove_all(root_);
         const fs::path repo = TH_REPO_ROOT;
-        writeFile(root_ / "src/io/request.h",
-                  readFile(repo / "src/io/request.h"));
-        writeFile(root_ / "src/io/serialize.cpp",
-                  readFile(repo / "src/io/serialize.cpp"));
+        for (const char *rel :
+             {"src/io/request.h", "src/io/serialize.cpp",
+              "src/core/pipeline.h", "src/store/artifact_store.h"})
+            writeFile(root_ / rel, readFile(repo / rel));
 
         opts_.root = root_.string();
         opts_.fixtureMode = true;
@@ -114,6 +116,23 @@ class SchemaPerturbation : public ::testing::Test
         const std::size_t pos = text.find(a + b);
         ASSERT_NE(pos, std::string::npos)
             << "encodeSimRequest no longer writes insts then warmup "
+               "back-to-back; update this test's perturbation";
+        text.replace(pos, a.size() + b.size(), b + a);
+        writeFile(p, text);
+    }
+
+    /** Swap the encode calls for result.perf / result.activity — the
+     *  same field set in a new order, which only the fingerprint sees. */
+    void reorderCoreResultFields()
+    {
+        const fs::path p = root_ / "src/io/serialize.cpp";
+        std::string text = readFile(p);
+        const std::string a = "    encodePerfStats(enc, result.perf);\n";
+        const std::string b =
+            "    encodeActivityStats(enc, result.activity);\n";
+        const std::size_t pos = text.find(a + b);
+        ASSERT_NE(pos, std::string::npos)
+            << "encodeCoreResult no longer writes perf then activity "
                "back-to-back; update this test's perturbation";
         text.replace(pos, a.size() + b.size(), b + a);
         writeFile(p, text);
@@ -161,10 +180,17 @@ TEST(SchemaLock, CommittedLockMatchesLiveSources)
 TEST_F(SchemaPerturbation, ReorderWithoutBumpIsAnError)
 {
     reorderCodecFields();
+    reorderCoreResultFields();
     const auto diags = th_lint::runChecks(opts_);
     const std::string drift = findingsOf(diags, "schema-drift");
     EXPECT_NE(drift.find("SimRequest"), std::string::npos) << drift;
     EXPECT_NE(drift.find("without a bump of kWireSchemaVersion"),
+              std::string::npos)
+        << drift;
+    // CoreResult's only guard is the constant every store entry
+    // carries in its header; no other constant may excuse the drift.
+    EXPECT_NE(drift.find("CoreResult"), std::string::npos) << drift;
+    EXPECT_NE(drift.find("without a bump of kStoreSchemaVersion;"),
               std::string::npos)
         << drift;
 }

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "io/serialize.h"
 #include "sim/system.h"
@@ -14,6 +17,19 @@ namespace th {
 namespace {
 
 namespace fs = std::filesystem;
+
+CoreResult
+syntheticResult(std::uint64_t salt)
+{
+    CoreResult r;
+    r.freqGhz = 2.66 + 0.001 * static_cast<double>(salt);
+    r.perf.cycles.set(100000 + salt);
+    r.perf.committedInsts.set(200000 + salt * 3);
+    for (int i = 0; i < 200; ++i)
+        r.perf.valueWidthBits.sample(static_cast<double>((i + salt) % 64));
+    r.activity.rfReadLow.set(salt * 7);
+    return r;
+}
 
 class StoreTest : public ::testing::Test
 {
@@ -77,19 +93,6 @@ class StoreTest : public ::testing::Test
         f.get(c);
         f.seekp(offset);
         f.put(static_cast<char>(c ^ 0x40));
-    }
-
-    static CoreResult syntheticResult(std::uint64_t salt)
-    {
-        CoreResult r;
-        r.freqGhz = 2.66 + 0.001 * static_cast<double>(salt);
-        r.perf.cycles.set(100000 + salt);
-        r.perf.committedInsts.set(200000 + salt * 3);
-        for (int i = 0; i < 200; ++i)
-            r.perf.valueWidthBits.sample(
-                static_cast<double>((i + salt) % 64));
-        r.activity.rfReadLow.set(salt * 7);
-        return r;
     }
 
     fs::path dir_;
@@ -453,6 +456,245 @@ TEST_F(StoreTest, StoreDisabledWithoutDirectory)
     const CoreResult r = sys.runCore("gzip", cfg);
     EXPECT_GT(r.perf.committedInsts.value(), 0u);
     EXPECT_TRUE(fs::is_empty(dir_));
+}
+
+// ---------------------------------------------------------------------
+// The store contract, once per artifact kind. Every kind in the
+// descriptor table (store/artifact_kinds.h) must round-trip, reject a
+// foreign key, quarantine bit flips and truncation, reject a foreign
+// schema, and show up in list()/verify() under its own format tag.
+// ---------------------------------------------------------------------
+
+/** A distinct, fully populated payload of each kind per @p salt. */
+template <typename T>
+T samplePayload(int salt);
+
+template <>
+CoreResult
+samplePayload<CoreResult>(int salt)
+{
+    return syntheticResult(static_cast<std::uint64_t>(salt));
+}
+
+template <>
+DtmReport
+samplePayload<DtmReport>(int salt)
+{
+    DtmReport r;
+    r.benchmark = "mpeg2enc";
+    r.config = "3D-noTH";
+    r.policy = "clockgate";
+    r.triggerK = 360.0;
+    r.freqGhz = 3.875;
+    r.peakK = 365.1 + salt;
+    r.throttleDuty = 0.36;
+    r.wallCycles = 2000000 + static_cast<std::uint64_t>(salt);
+    for (int i = 0; i < 5; ++i) {
+        DtmIntervalSample smp;
+        smp.timeS = 0.0076 * (i + 1);
+        smp.peakK = 360.0 + i;
+        smp.clockDuty = i % 2 ? 0.75 : 1.0;
+        smp.cycles = 50000 - static_cast<std::uint64_t>(i);
+        smp.throttled = (i % 2) != 0;
+        r.intervals.push_back(smp);
+    }
+    return r;
+}
+
+template <>
+IntervalModel
+samplePayload<IntervalModel>(int salt)
+{
+    IntervalModel m;
+    m.benchmark = "mpeg2enc";
+    m.familyHash = 0xFA11 + static_cast<std::uint64_t>(salt);
+    m.fitFreqGhz = 3.875;
+    m.intervalCycles = 10000;
+    IntervalPhase phase;
+    phase.cycles = 30000;
+    phase.stats = samplePayload<CoreResult>(salt);
+    phase.throttle.push_back({0.5, 0.97});
+    IntervalThrottleBin bin;
+    bin.duty = 0.5;
+    bin.stats = samplePayload<CoreResult>(salt + 1);
+    phase.bins.push_back(bin);
+    m.phases.push_back(phase);
+    for (std::uint64_t t = 0; t < 3; ++t)
+        m.ticks.push_back({10000, 18000 + t, 0});
+    m.totalCycles = 30000;
+    m.totalInstructions = 54003;
+    return m;
+}
+
+template <>
+MulticoreReport
+samplePayload<MulticoreReport>(int salt)
+{
+    MulticoreReport r;
+    r.config = "3D";
+    r.policy = "fetch";
+    r.numCores = 2;
+    r.l2Banks = 1;
+    r.peakK = 364.9 + salt;
+    for (int c = 0; c < 2; ++c) {
+        MulticoreCoreStats cs;
+        cs.benchmark = c ? "gzip" : "mpeg2enc";
+        cs.ipcEffective = 1.6 - c * 0.3;
+        cs.l2Accesses = 4200 + static_cast<std::uint64_t>(c);
+        r.cores.push_back(cs);
+    }
+    MulticoreBankStats bank;
+    bank.accesses = 8400;
+    bank.occupancy = 0.3;
+    r.banks.push_back(bank);
+    return r;
+}
+
+/** Canonical bytes of @p v under its kind's codec. */
+template <typename T>
+std::vector<std::uint8_t>
+payloadBytes(const T &v)
+{
+    Encoder enc;
+    artifactKind<T>().encode(enc, v);
+    return enc.data();
+}
+
+template <typename T>
+class StoreContract : public StoreTest
+{
+  protected:
+    static const ArtifactFormat &format()
+    {
+        return artifactKind<T>().format;
+    }
+
+    /** The entry file of (@p benchmark, @p key). */
+    fs::path entryOf(const std::string &benchmark, std::uint64_t key) const
+    {
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(key));
+        return dir_ / (benchmark + "-" + hex + format().ext);
+    }
+
+    /** Store one sample at (mpeg2enc, 0x77) and return its file. */
+    fs::path storeSample(ArtifactStore &store)
+    {
+        EXPECT_TRUE(store.save("mpeg2enc", 0x77, samplePayload<T>(1)));
+        const fs::path entry = entryOf("mpeg2enc", 0x77);
+        EXPECT_TRUE(fs::exists(entry)) << entry;
+        return entry;
+    }
+
+    /** A lookup of (mpeg2enc, 0x77) must miss as corrupt. */
+    void expectQuarantined(ArtifactStore &store, const fs::path &entry)
+    {
+        T back;
+        EXPECT_FALSE(store.load("mpeg2enc", 0x77, back));
+        const StoreStats s = store.stats();
+        EXPECT_EQ(s.corrupt, 1u);
+        EXPECT_EQ(s.misses, 1u);
+        EXPECT_EQ(s.hits, 0u);
+        // The bad file was quarantined, not left to fail again.
+        EXPECT_FALSE(fs::exists(entry));
+        EXPECT_TRUE(fs::exists(entry.string() + ".bad"));
+    }
+};
+
+using ArtifactTypes = ::testing::Types<CoreResult, DtmReport,
+                                       IntervalModel, MulticoreReport>;
+TYPED_TEST_SUITE(StoreContract, ArtifactTypes);
+
+TYPED_TEST(StoreContract, RoundTripsAcrossInstances)
+{
+    const TypeParam sent = samplePayload<TypeParam>(3);
+    {
+        ArtifactStore writer(this->options());
+        ASSERT_TRUE(writer.save("mpeg2enc+gzip", 0x3C, sent));
+        EXPECT_EQ(writer.stats().stores, 1u);
+    }
+    ArtifactStore reader(this->options());
+    TypeParam back;
+    ASSERT_TRUE(reader.load("mpeg2enc+gzip", 0x3C, back));
+    EXPECT_EQ(payloadBytes(back), payloadBytes(sent));
+
+    // Wrong key and wrong benchmark both miss without touching @p back.
+    TypeParam untouched = back;
+    EXPECT_FALSE(reader.load("mpeg2enc+gzip", 0x3D, untouched));
+    EXPECT_FALSE(reader.load("gzip", 0x3C, untouched));
+    EXPECT_EQ(payloadBytes(untouched), payloadBytes(sent));
+    const StoreStats s = reader.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.corrupt, 0u);
+}
+
+TYPED_TEST(StoreContract, KeyMismatchIsQuarantined)
+{
+    // A structurally valid entry under the wrong file name (embedded
+    // key != lookup key) must not be served.
+    ArtifactStore store(this->options());
+    ASSERT_TRUE(store.save("mpeg2enc", 0x42, samplePayload<TypeParam>(7)));
+    const fs::path entry = this->storeSample(store);
+    fs::copy_file(this->entryOf("mpeg2enc", 0x42), entry,
+                  fs::copy_options::overwrite_existing);
+    this->expectQuarantined(store, entry);
+}
+
+TYPED_TEST(StoreContract, BitFlipIsQuarantined)
+{
+    ArtifactStore store(this->options());
+    const fs::path entry = this->storeSample(store);
+    StoreTest::flipByte(entry, static_cast<std::streamoff>(
+                                   fs::file_size(entry) / 2));
+    this->expectQuarantined(store, entry);
+}
+
+TYPED_TEST(StoreContract, TruncationIsQuarantined)
+{
+    ArtifactStore store(this->options());
+    const fs::path entry = this->storeSample(store);
+    fs::resize_file(entry, fs::file_size(entry) / 3);
+    this->expectQuarantined(store, entry);
+}
+
+TYPED_TEST(StoreContract, WrongSchemaIsQuarantined)
+{
+    ArtifactStore store(this->options());
+    const fs::path entry = this->storeSample(store);
+    // Header layout: magic(4) format(4) container(4) schema(4).
+    StoreTest::flipByte(entry, 12);
+    this->expectQuarantined(store, entry);
+}
+
+TYPED_TEST(StoreContract, ListAndVerifyReportTheFormatTag)
+{
+    ArtifactStore store(this->options());
+    const fs::path entry = this->storeSample(store);
+    // A CRES neighbour: verify must dispatch each entry to its own
+    // kind's reader.
+    ASSERT_TRUE(store.save("gzip", 0x5, samplePayload<CoreResult>(5)));
+
+    const auto entries = store.list();
+    ASSERT_EQ(entries.size(), 2u);
+    bool seen = false;
+    for (const auto &e : entries) {
+        if (e.path != entry.string())
+            continue;
+        seen = true;
+        EXPECT_EQ(e.format, this->format().tag);
+        EXPECT_EQ(e.benchmark, "mpeg2enc");
+        EXPECT_EQ(e.cfgHash, 0x77u);
+        EXPECT_FALSE(e.quarantined);
+    }
+    EXPECT_TRUE(seen) << "list() missed " << entry;
+    EXPECT_EQ(store.verify(), 0) << "every kind re-validates";
+
+    StoreTest::flipByte(entry, static_cast<std::streamoff>(
+                                   fs::file_size(entry) - 5));
+    EXPECT_EQ(store.verify(), 1);
+    EXPECT_TRUE(fs::exists(entry.string() + ".bad"));
 }
 
 } // namespace

@@ -59,8 +59,6 @@ schemaGuards()
                                     "src/io/request.h"};
     static const GuardConst store = {"kStoreSchemaVersion",
                                      "src/store/artifact_store.h"};
-    static const GuardConst cres = {"kCoreResultSchemaVersion",
-                                    "src/io/serialize.h"};
     static const GuardConst dtmr = {"kDtmReportSchemaVersion",
                                     "src/io/serialize.h"};
     static const GuardConst imdl = {"kIntervalModelSchemaVersion",
@@ -70,9 +68,9 @@ schemaGuards()
     static const std::vector<SchemaGuard> guards = {
         {"SimRequest", {wire}},
         {"SimResponse", {wire}},
-        {"PerfStats", {store, cres}},
-        {"ActivityStats", {store, cres}},
-        {"CoreResult", {store, cres}},
+        {"PerfStats", {store}},
+        {"ActivityStats", {store}},
+        {"CoreResult", {store}},
         {"DtmReport", {store, dtmr}},
         {"DtmIntervalSample", {store, dtmr}},
         {"IntervalModel", {imdl}},

@@ -26,11 +26,13 @@
  * simulates and persists every (benchmark, config) CoreResult; a warm
  * re-run loads them all from disk and prints matching hit counters.
  *
- * With --connect, the same experiment subcommands are sent to a
- * th_serve server instead of simulated locally; the response body is
- * rendered through the identical report code, so served and local
- * output are byte-identical (counter footers aside — those describe
- * whichever System did the work).
+ * The request subcommands (fig8/9/10, width, sweep, core, dtm,
+ * multicore) build one SimRequest from the flags. Locally it runs
+ * through runRequest (sim/dispatch.h) on an in-process System; with
+ * --connect the same request goes to a th_serve server, whose workers
+ * call the same runRequest. Served and local output are therefore
+ * byte-identical (counter footers aside — those describe whichever
+ * System did the work).
  */
 
 #include <chrono>
@@ -38,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,6 +50,7 @@
 #include "common/version.h"
 #include "io/trace_file.h"
 #include "net/client.h"
+#include "sim/dispatch.h"
 #include "sim/experiments.h"
 #include "sim/report.h"
 #include "store/artifact_store.h"
@@ -281,17 +285,101 @@ splitList(const std::string &csv)
     return out;
 }
 
+/** --config as a ConfigKind; @p fallback when --config is absent. */
 ConfigKind
-configByName(const std::string &name)
+configOf(const Args &args, ConfigKind fallback)
 {
-    const ConfigKind kinds[] = {ConfigKind::Base,   ConfigKind::TH,
-                                ConfigKind::Pipe,   ConfigKind::Fast,
-                                ConfigKind::ThreeD, ConfigKind::ThreeDNoTH};
-    for (ConfigKind k : kinds)
-        if (name == configName(k))
-            return k;
-    usage(strformat("unknown config '%s' (Base, TH, Pipe, Fast, 3D, "
-                    "3D-noTH)", name.c_str()).c_str());
+    ConfigKind kind = fallback;
+    if (args.configGiven && !configKindByName(args.config, kind))
+        usage(strformat("unknown config '%s' (Base, TH, Pipe, Fast, 3D, "
+                        "3D-noTH)", args.config.c_str()).c_str());
+    return kind;
+}
+
+/** @p v as a @p Field; exits 2 when it does not fit. */
+template <typename Field>
+Field
+narrow(std::uint64_t v, const char *flag)
+{
+    const auto max =
+        static_cast<std::uint64_t>(std::numeric_limits<Field>::max());
+    if (v > max)
+        usage(strformat("%s %llu out of range (max %llu)", flag,
+                        static_cast<unsigned long long>(v),
+                        static_cast<unsigned long long>(max))
+                  .c_str());
+    return static_cast<Field>(v);
+}
+
+/** Copy the DTM flags into @p req's DTM knobs (range-checked). */
+void
+setDtmKnobs(SimRequest &req, const Args &args)
+{
+    req.dtmPolicy = args.policy;
+    req.dtmTriggerK = args.trigger;
+    req.dtmIntervals = narrow<std::uint32_t>(args.intervals, "--intervals");
+    req.dtmIntervalCycles = args.intervalCycles;
+    req.dtmDilation = args.dilation;
+    req.dtmGridN = narrow<std::uint32_t>(args.grid, "--grid");
+    req.dtmSolver = args.solver;
+}
+
+/** The request kinds behind each request subcommand; sweep runs the
+ *  three figures in turn. */
+const std::map<std::string, std::vector<SimRequestKind>> &
+requestKinds()
+{
+    using K = SimRequestKind;
+    static const std::map<std::string, std::vector<K>> kinds = {
+        {"fig8", {K::Fig8}},   {"fig9", {K::Fig9}},
+        {"fig10", {K::Fig10}}, {"width", {K::Width}},
+        {"sweep", {K::Fig8, K::Fig9, K::Fig10}},
+        {"core", {K::Core}},   {"dtm", {K::Dtm}},
+        {"multicore", {K::Multicore}},
+        {"ping", {K::Ping}},   {"metrics", {K::Metrics}},
+    };
+    return kinds;
+}
+
+/**
+ * The SimRequests of request subcommand @p cmd — the one builder
+ * behind both local runs and --connect. Exits 2 when a flag value does
+ * not fit its request field, or when a flag no request carries is
+ * given.
+ */
+std::vector<SimRequest>
+requestsOf(const std::string &cmd, const Args &args)
+{
+    if (args.fitCycles > 0 || args.fitInterval > 0)
+        usage(strformat("--fit-cycles/--fit-interval apply to fit and "
+                        "sweep --fast|--exact, not %s",
+                        cmd.c_str()).c_str());
+    SimRequest req;
+    req.benchmarks = splitList(args.benchmarks);
+    req.insts = args.insts;
+    req.warmup = args.warmup;
+    req.deadlineMs = narrow<std::uint32_t>(args.deadlineMs, "--deadline-ms");
+    if (cmd == "core") {
+        if (req.benchmarks.empty())
+            req.benchmarks = {System::kPowerReferenceBenchmark};
+        req.config = args.config;
+    }
+    if (cmd == "dtm" || cmd == "multicore")
+        setDtmKnobs(req, args);
+    if (cmd == "dtm")
+        req.fastPath = args.fast ? 1 : 0;
+    if (cmd == "multicore") {
+        req.mcCores = narrow<std::uint32_t>(args.cores, "--cores");
+        req.mcL2Banks = narrow<std::uint32_t>(args.banks, "--banks");
+        if (args.configGiven)
+            req.config = args.config;
+    }
+    std::vector<SimRequest> reqs;
+    for (const SimRequestKind kind : requestKinds().at(cmd)) {
+        req.kind = kind;
+        reqs.push_back(req);
+    }
+    return reqs;
 }
 
 System
@@ -304,91 +392,13 @@ makeSystem(const Args &args)
     return System(opts);
 }
 
+/** Validate @p req against @p sys's window; exits 2 when invalid. */
 void
-printCounters(const System &sys)
+checkRequest(const SimRequest &req, const System &sys)
 {
-    std::fputs(renderCounters(sys).c_str(), stdout);
-}
-
-// -------------------------------------------------------------------
-// Experiment commands. The report bodies come from sim/report.h — the
-// same renderers th_serve answers with, which is what keeps local and
-// served output byte-identical.
-// -------------------------------------------------------------------
-
-int
-cmdExperiment(const std::string &what, const Args &args)
-{
-    System sys = makeSystem(args);
-    const std::vector<std::string> benchmarks =
-        splitList(args.benchmarks);
-    for (const std::string &b : benchmarks)
-        if (!hasBenchmark(b))
-            usage(strformat("unknown benchmark '%s'", b.c_str()).c_str());
-
-    if (what == "fig8" || what == "sweep")
-        std::fputs(renderFig8(runFigure8(sys, benchmarks)).c_str(),
-                   stdout);
-    if (what == "fig9" || what == "sweep")
-        std::fputs(renderFig9(runFigure9(sys, benchmarks)).c_str(),
-                   stdout);
-    if (what == "fig10" || what == "sweep")
-        std::fputs(renderFig10(runFigure10(sys, benchmarks)).c_str(),
-                   stdout);
-    if (what == "width")
-        std::fputs(renderWidth(runWidthStudy(sys, benchmarks)).c_str(),
-                   stdout);
-    printCounters(sys);
-    return 0;
-}
-
-int
-cmdCore(const Args &args)
-{
-    const std::vector<std::string> benchmarks =
-        splitList(args.benchmarks);
-    if (benchmarks.size() > 1)
-        usage("core takes a single --benchmarks entry");
-    const std::string benchmark =
-        benchmarks.empty() ? System::kPowerReferenceBenchmark
-                           : benchmarks[0];
-    if (!hasBenchmark(benchmark))
-        usage(strformat("unknown benchmark '%s'",
-                        benchmark.c_str()).c_str());
-    System sys = makeSystem(args);
-    const CoreResult r =
-        sys.runCore(benchmark, configByName(args.config));
-    std::fputs(renderCoreRun(benchmark, args.config, r).c_str(), stdout);
-    printCounters(sys);
-    return 0;
-}
-
-// -------------------------------------------------------------------
-// DTM command.
-// -------------------------------------------------------------------
-
-DtmOptions
-dtmOptionsOf(const Args &args)
-{
-    DtmOptions opts;
-    if (!dtmPolicyByName(args.policy, opts.policy))
-        usage(strformat("unknown policy '%s' (none, clockgate, fetch)",
-                        args.policy.c_str()).c_str());
-    if (args.trigger > 0.0)
-        opts.triggers.triggerK = args.trigger;
-    if (args.intervals > 0)
-        opts.maxIntervals = static_cast<int>(args.intervals);
-    if (args.intervalCycles > 0)
-        opts.intervalCycles = args.intervalCycles;
-    if (args.dilation > 0.0)
-        opts.timeDilation = args.dilation;
-    if (args.grid > 0)
-        opts.gridN = static_cast<int>(args.grid);
-    if (!args.solver.empty() &&
-        !solverKindByName(args.solver, &opts.solver))
-        usage(strformat("unknown solver '%s' (sor, multigrid)",
-                        args.solver.c_str()).c_str());
-    return opts;
+    std::string err;
+    if (!validateRequest(req, sys.options(), err))
+        usage(err.c_str());
 }
 
 /** Resolve the single --benchmarks entry of @p cmd (default mpeg2). */
@@ -420,80 +430,18 @@ intervalOptionsOf(const Args &args)
     return iopts;
 }
 
-int
-cmdDtm(const Args &args)
-{
-    System sys = makeSystem(args);
-    const DtmOptions opts = dtmOptionsOf(args);
-    const std::string benchmark = singleBenchmark(args, "dtm");
-
-    // --fast replays fitted interval models instead of stepping the
-    // cycle-accurate core; the report grows a measured error line. The
-    // default path is byte-identical to before the fast path existed.
-    const DtmStudyData data = args.fast
-        ? runDtmStudyFast(sys, benchmark, opts, intervalOptionsOf(args))
-        : runDtmStudy(sys, benchmark, opts);
-    std::fputs(renderDtm(data, opts).c_str(), stdout);
-    printCounters(sys);
-    return 0;
-}
-
-// -------------------------------------------------------------------
-// Many-core command.
-// -------------------------------------------------------------------
-
-int
-cmdMulticore(const Args &args)
-{
-    if (args.cores > 64)
-        usage("--cores out of range (max 64)");
-    if (args.banks > 64)
-        usage("--banks out of range (max 64)");
-    MulticoreConfig mc;
-    mc.benchmarks = splitList(args.benchmarks);
-    for (const std::string &b : mc.benchmarks)
-        if (!hasBenchmark(b))
-            usage(strformat("unknown benchmark '%s'", b.c_str()).c_str());
-    if (args.banks > 0)
-        mc.l2Banks = static_cast<int>(args.banks);
-    mc.dtm = dtmOptionsOf(args);
-
-    System sys = makeSystem(args);
-    if (args.cores > 0) {
-        // One stack at the requested core count (default: full 3D).
-        mc.numCores = static_cast<int>(args.cores);
-        const ConfigKind kind = args.configGiven
-            ? configByName(args.config) : ConfigKind::ThreeD;
-        std::fputs(renderMulticore(sys.runMulticore(kind, mc)).c_str(),
-                   stdout);
-    } else {
-        std::fputs(renderMulticoreStudy(runMulticoreStudy(sys, mc))
-                       .c_str(),
-                   stdout);
-    }
-    printCounters(sys);
-    return 0;
-}
-
 // -------------------------------------------------------------------
 // Interval fast-path commands.
 // -------------------------------------------------------------------
-
-/** The config a family command targets: --config, else the naive 3D
- *  stack (the family that actually trips DTM across the sweep). */
-ConfigKind
-familyConfigOf(const Args &args)
-{
-    return args.configGiven ? configByName(args.config)
-                            : ConfigKind::ThreeDNoTH;
-}
 
 int
 cmdFit(const Args &args)
 {
     System sys = makeSystem(args);
     const std::string benchmark = singleBenchmark(args, "fit");
-    const ConfigKind kind = familyConfigOf(args);
+    // Family commands default to the naive 3D stack: the family that
+    // actually trips DTM across the sweep.
+    const ConfigKind kind = configOf(args, ConfigKind::ThreeDNoTH);
     const IntervalModel m =
         sys.runIntervalFit(benchmark, kind, intervalOptionsOf(args));
     std::printf("fitted %s on %s: %zu phases over %llu cycles "
@@ -502,7 +450,7 @@ cmdFit(const Args &args)
                 (unsigned long long)m.totalCycles,
                 (unsigned long long)m.totalInstructions,
                 (unsigned long long)m.familyHash);
-    printCounters(sys);
+    std::fputs(renderCounters(sys).c_str(), stdout);
     return 0;
 }
 
@@ -512,10 +460,16 @@ cmdFamilySweep(const Args &args)
     System sys = makeSystem(args);
     const std::string benchmark = singleBenchmark(args, "sweep");
 
+    // The DTM flags map onto DtmOptions exactly as a dtm request's do.
+    SimRequest knobs;
+    knobs.kind = SimRequestKind::Dtm;
+    setDtmKnobs(knobs, args);
+    checkRequest(knobs, sys);
+
     FamilySweepOptions opts;
     opts.fast = !args.exact;
-    opts.config = familyConfigOf(args);
-    opts.dtm = dtmOptionsOf(args);
+    opts.config = configOf(args, ConfigKind::ThreeDNoTH);
+    opts.dtm = dtmOptionsFrom(knobs);
     // The family grid steps the transient solver hundreds of times;
     // default to a coarse thermal grid unless --grid asks otherwise
     // (applied to both modes so fast and exact stay comparable).
@@ -526,9 +480,9 @@ cmdFamilySweep(const Args &args)
     if (args.triggerHi > 0.0)
         opts.triggerHiK = args.triggerHi;
     if (args.triggerSteps > 0)
-        opts.triggerSteps = static_cast<int>(args.triggerSteps);
+        opts.triggerSteps = narrow<int>(args.triggerSteps, "--trigger-steps");
     if (args.anchorStride > 0)
-        opts.anchorStride = static_cast<int>(args.anchorStride);
+        opts.anchorStride = narrow<int>(args.anchorStride, "--anchor-stride");
     opts.interval = intervalOptionsOf(args);
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -542,7 +496,7 @@ cmdFamilySweep(const Args &args)
                     std::chrono::duration_cast<std::chrono::milliseconds>(
                         t1 - t0)
                         .count()));
-    printCounters(sys);
+    std::fputs(renderCounters(sys).c_str(), stdout);
     return 0;
 }
 
@@ -624,7 +578,7 @@ cmdTraceRun(const Args &args)
     }
     System sys = makeSystem(args);
     const CoreConfig cfg =
-        makeConfig(configByName(args.config), sys.circuits());
+        makeConfig(configOf(args, ConfigKind::Base), sys.circuits());
     const CoreResult r = sys.runTrace(replay, cfg);
     std::fputs(renderCoreRun(replay.info().benchmark, args.config, r)
                    .c_str(),
@@ -633,9 +587,10 @@ cmdTraceRun(const Args &args)
 }
 
 // -------------------------------------------------------------------
-// Client mode: ship the request to a th_serve server and print the
-// response body. The body is rendered by the server through the same
-// sim/report.h functions the local paths use.
+// Request subcommands: one SimRequest builder, then either the
+// in-process dispatcher or a th_serve server. Both answer through
+// runRequest (sim/dispatch.h), so local and served reports are the
+// same bytes; only the local counter footer differs.
 // -------------------------------------------------------------------
 
 bool
@@ -655,28 +610,7 @@ parseHostPort(const std::string &spec, std::string &host,
 }
 
 int
-callServer(SimClient &client, SimRequest req, const Args &args)
-{
-    req.insts = args.insts;
-    req.warmup = args.warmup;
-    req.deadlineMs = static_cast<std::uint32_t>(args.deadlineMs);
-    SimResponse rsp;
-    std::string err;
-    if (!client.call(req, rsp, err)) {
-        std::fprintf(stderr, "th_run: %s\n", err.c_str());
-        return 1;
-    }
-    if (rsp.status != SimStatus::Ok) {
-        std::fprintf(stderr, "th_run: server replied %s: %s\n",
-                     simStatusName(rsp.status), rsp.error.c_str());
-        return 1;
-    }
-    std::fputs(rsp.text.c_str(), stdout);
-    return 0;
-}
-
-int
-cmdClient(const Args &args)
+callServer(const std::vector<SimRequest> &reqs, const Args &args)
 {
     std::string host;
     std::uint16_t port = 0;
@@ -689,68 +623,38 @@ cmdClient(const Args &args)
         std::fprintf(stderr, "th_run: %s\n", err.c_str());
         return 1;
     }
+    for (const SimRequest &req : reqs) {
+        SimResponse rsp;
+        if (!client.call(req, rsp, err)) {
+            std::fprintf(stderr, "th_run: %s\n", err.c_str());
+            return 1;
+        }
+        if (rsp.status != SimStatus::Ok) {
+            std::fprintf(stderr, "th_run: server replied %s: %s\n",
+                         simStatusName(rsp.status), rsp.error.c_str());
+            return 1;
+        }
+        std::fputs(rsp.text.c_str(), stdout);
+    }
+    return 0;
+}
 
-    const std::string &cmd = args.pos[0];
-    SimRequest req;
-    req.benchmarks = splitList(args.benchmarks);
-
-    if (cmd == "ping") {
-        req.kind = SimRequestKind::Ping;
-        return callServer(client, req, args);
-    }
-    if (cmd == "metrics") {
-        req.kind = SimRequestKind::Metrics;
-        return callServer(client, req, args);
-    }
-    if (cmd == "fig8" || cmd == "fig9" || cmd == "fig10" ||
-        cmd == "width" || cmd == "sweep") {
-        const std::vector<std::pair<const char *, SimRequestKind>> kinds =
-            {{"fig8", SimRequestKind::Fig8},
-             {"fig9", SimRequestKind::Fig9},
-             {"fig10", SimRequestKind::Fig10}};
-        if (cmd == "width") {
-            req.kind = SimRequestKind::Width;
-            return callServer(client, req, args);
-        }
-        for (const auto &[name, kind] : kinds) {
-            if (cmd != name && cmd != "sweep")
-                continue;
-            req.kind = kind;
-            const int rc = callServer(client, req, args);
-            if (rc != 0)
-                return rc;
-        }
-        return 0;
-    }
-    if (cmd == "core") {
-        req.kind = SimRequestKind::Core;
-        if (req.benchmarks.empty())
-            req.benchmarks = {System::kPowerReferenceBenchmark};
-        req.config = args.config;
-        return callServer(client, req, args);
-    }
-    if (cmd == "dtm" || cmd == "multicore") {
-        req.kind = cmd == "dtm" ? SimRequestKind::Dtm
-                                : SimRequestKind::Multicore;
-        req.dtmPolicy = args.policy;
-        req.dtmTriggerK = args.trigger;
-        req.dtmIntervals = static_cast<std::uint32_t>(args.intervals);
-        req.dtmIntervalCycles = args.intervalCycles;
-        req.dtmDilation = args.dilation;
-        req.dtmGridN = static_cast<std::uint32_t>(args.grid);
-        req.dtmSolver = args.solver;
-        if (cmd == "dtm") {
-            req.fastPath = args.fast ? 1 : 0;
-        } else {
-            req.mcCores = static_cast<std::uint32_t>(args.cores);
-            req.mcL2Banks = static_cast<std::uint32_t>(args.banks);
-            if (args.configGiven)
-                req.config = args.config;
-        }
-        return callServer(client, req, args);
-    }
-    usage(strformat("command '%s' cannot run against a server",
-                    cmd.c_str()).c_str());
+int
+cmdRequest(const std::string &cmd, const Args &args)
+{
+    const std::vector<SimRequest> reqs = requestsOf(cmd, args);
+    if (!args.connect.empty())
+        return callServer(reqs, args);
+    if (cmd == "ping" || cmd == "metrics")
+        usage(strformat("'%s' needs --connect host:port",
+                        cmd.c_str()).c_str());
+    System sys = makeSystem(args);
+    for (const SimRequest &req : reqs)
+        checkRequest(req, sys);
+    for (const SimRequest &req : reqs)
+        std::fputs(runRequest(sys, req).text.c_str(), stdout);
+    std::fputs(renderCounters(sys).c_str(), stdout);
+    return 0;
 }
 
 // -------------------------------------------------------------------
@@ -851,25 +755,18 @@ main(int argc, char **argv)
         usage();
     const std::string &cmd = args.pos[0];
 
-    if (!args.connect.empty())
-        return cmdClient(args);
-    if (cmd == "ping" || cmd == "metrics")
-        usage(strformat("'%s' needs --connect host:port",
-                        cmd.c_str()).c_str());
     if (cmd == "sweep" && (args.fast || args.exact)) {
         if (args.fast && args.exact)
             usage("sweep takes --fast or --exact, not both");
+        if (!args.connect.empty())
+            usage("sweep --fast|--exact cannot run against a server");
         return cmdFamilySweep(args);
     }
-    if (cmd == "fig8" || cmd == "fig9" || cmd == "fig10" ||
-        cmd == "width" || cmd == "sweep")
-        return cmdExperiment(cmd, args);
-    if (cmd == "core")
-        return cmdCore(args);
-    if (cmd == "dtm")
-        return cmdDtm(args);
-    if (cmd == "multicore")
-        return cmdMulticore(args);
+    if (requestKinds().count(cmd) != 0)
+        return cmdRequest(cmd, args);
+    if (!args.connect.empty())
+        usage(strformat("command '%s' cannot run against a server",
+                        cmd.c_str()).c_str());
     if (cmd == "fit")
         return cmdFit(args);
     if (cmd == "trace") {
