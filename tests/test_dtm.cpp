@@ -6,6 +6,7 @@
 #include "sim/configs.h"
 #include "sim/experiments.h"
 #include "sim/system.h"
+#include "test_util.h"
 
 namespace th {
 namespace {
@@ -356,6 +357,55 @@ TEST_F(DtmEngineTest, StudyCoversTheThreeThermalConfigs)
     for (const auto &c : data.cases) {
         EXPECT_EQ(c.report.benchmark, "mpeg2enc");
         EXPECT_FALSE(c.report.intervals.empty());
+    }
+}
+
+TEST_F(DtmEngineTest, GoldenThrottledReportsAreBitIdentical)
+{
+    // The exactness oracle for the core's interval stepping: both
+    // actuators on a planar and a stacked config, triggers low enough
+    // that the ladders move (mpeg2enc's clock gate also backs off),
+    // and an interval length that ends every runFor() with
+    // instructions in flight.
+    const struct
+    {
+        const char *bench;
+        ConfigKind kind;
+        DtmPolicyKind policy;
+        double triggerK;
+        std::uint64_t hash;
+    } golden[] = {
+        {"mpeg2enc", ConfigKind::Base, DtmPolicyKind::FetchThrottle, 352.5,
+         0xa4ccaab23acc272dULL},
+        {"mpeg2enc", ConfigKind::Base, DtmPolicyKind::ClockGate, 352.5,
+         0x2db0e187b3c31177ULL},
+        {"mpeg2enc", ConfigKind::ThreeD, DtmPolicyKind::FetchThrottle, 352.5,
+         0xadd2cabc9cdf4560ULL},
+        {"mpeg2enc", ConfigKind::ThreeD, DtmPolicyKind::ClockGate, 352.5,
+         0xe30e9576e99b3ed9ULL},
+        {"mcf", ConfigKind::Base, DtmPolicyKind::FetchThrottle, 336.5,
+         0x4bc679815cec18ebULL},
+        {"mcf", ConfigKind::Base, DtmPolicyKind::ClockGate, 336.5,
+         0x5a504328ca75aa63ULL},
+        {"mcf", ConfigKind::ThreeD, DtmPolicyKind::FetchThrottle, 336.5,
+         0x9b482382d3f65c90ULL},
+        {"mcf", ConfigKind::ThreeD, DtmPolicyKind::ClockGate, 336.5,
+         0xe2f066f519ea93d1ULL},
+    };
+    DtmOptions o = tinyOptions();
+    o.intervalCycles = 7919;
+    for (const auto &g : golden) {
+        o.policy = g.policy;
+        o.triggers.triggerK = g.triggerK;
+        const std::uint64_t h =
+            test::fnv1a(serializeDtmReport(sys_->runDtm(g.bench, g.kind, o)));
+        EXPECT_EQ(h, g.hash)
+            << "serializeDtmReport(" << g.bench << " on "
+            << configName(g.kind) << " under " << dtmPolicyName(g.policy)
+            << ") drifted (now 0x" << std::hex << h << std::dec
+            << ") — the closed loop's simulated results changed. If "
+            << "intentional, update the golden table and bump "
+            << "kStoreSchemaVersion.";
     }
 }
 

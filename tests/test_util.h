@@ -15,6 +15,18 @@
 namespace th {
 namespace test {
 
+/** FNV-1a over @p bytes (digests in golden tables). */
+inline std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /** A TraceSource that replays a fixed vector of records. */
 class VectorTrace : public TraceSource
 {
