@@ -72,6 +72,8 @@ std::size_t
 MemSource::read(void *data, std::size_t len)
 {
     const std::size_t n = std::min(len, len_ - pos_);
+    if (n == 0)
+        return 0; // An empty buffer's data() may be null: no memcpy.
     std::memcpy(data, p_ + pos_, n);
     pos_ += n;
     return n;

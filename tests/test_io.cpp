@@ -165,6 +165,21 @@ TEST(ChunkTest, GarbageHeaderRejected)
     EXPECT_FALSE(reader.readHeader("TEST", schema, err));
 }
 
+TEST(ChunkTest, EmptySourceReadsNothing)
+{
+    // An empty vector's data() may be null; reading from it must still
+    // be a clean zero-byte read, and the header check must fail.
+    const std::vector<std::uint8_t> empty;
+    MemSource src(empty);
+    std::uint8_t buf[8] = {};
+    EXPECT_EQ(src.read(buf, sizeof(buf)), 0u);
+    EXPECT_EQ(src.read(buf, 0), 0u);
+    ChunkReader reader(src);
+    std::uint32_t schema = 0;
+    std::string err;
+    EXPECT_FALSE(reader.readHeader("TEST", schema, err));
+}
+
 std::vector<std::uint8_t>
 oneChunkContainer()
 {
