@@ -11,14 +11,23 @@
  * units and data cache; the die-aware scheduler allocation; PAM in the
  * store queue; the target-memoizing BTB; and per-die activity
  * accounting for the power model.
+ *
+ * Host time follows the simulated events, not the queue sizes: the
+ * in-flight instructions live in one sequence-indexed ring, writebacks
+ * pop from a completion heap, and a cycle in which nothing changes is
+ * followed by a jump to the next cycle at which something can (see
+ * DESIGN.md §16). Every simulated statistic is the same as stepping
+ * each cycle would give.
  */
 
 #ifndef TH_CORE_PIPELINE_H
 #define TH_CORE_PIPELINE_H
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -51,18 +60,18 @@ struct DynInst
     Cycle fetchedAt = 0;
     Cycle decodedAt = 0;
     Cycle dispatchedAt = 0;
-    Cycle issuedAt = 0;
     Cycle completeAt = 0;
-    bool inRs = false;
     bool issued = false;
     int rsDie = -1;
-    bool hasSqEntry = false;
-    bool hasLqEntry = false;
     bool rfStallCharged = false;
 
-    // Dependencies.
-    DynInst *producers[kMaxSrcs] = {nullptr, nullptr};
-    bool wbDone = false; ///< Writeback accounting performed.
+    // Dependencies: producers' sequence numbers (0 = none). A producer
+    // older than the window head has committed, so its value comes
+    // from the register file.
+    std::uint64_t producers[kMaxSrcs] = {0, 0};
+    /** First cycle all operands are ready; 0 until every in-flight
+     *  producer has issued (their completion cycles are final then). */
+    Cycle readyAt = 0;
 
     // Branch state.
     bool mispredicted = false;
@@ -157,10 +166,14 @@ class Core
     void attach(TraceSource &trace, std::uint64_t warmup_insts);
     /**
      * Execute one cycle (all six stages, warm-up stat reset, deadlock
-     * watchdog). False when the machine is drained: trace over and
-     * every queue empty. The shared loop body of run() and runFor().
+     * watchdog). If nothing changed, then advance to just before the
+     * next cycle at which anything can, but never past @p horizon.
+     * False when the machine is drained: trace over and every queue
+     * empty. The shared loop body of run(), beginRun() and runFor().
      */
-    bool stepCycle();
+    bool stepCycle(Cycle horizon);
+    /** The next cycle anything can change is no later than @p at. */
+    void wake(Cycle at) { nextEvent_ = std::min(nextEvent_, at); }
 
     // Pipeline stages (called in reverse order each cycle).
     void commitStage();
@@ -175,13 +188,19 @@ class Core
     bool tryIssueInst(DynInst *inst, int &issued_this_cycle);
     bool issueMemOp(DynInst *inst);
     void finishIssue(DynInst *inst, Cycle complete_at);
-    bool srcsReady(const DynInst *inst) const;
+    Cycle operandsReadyAt(DynInst &inst) const;
     void readRegisterOperands(DynInst *inst, bool &unsafe);
     void countExecActivity(const DynInst *inst);
     void commitStoreToCache(DynInst *inst);
-    void onCommitCleanup(DynInst *inst);
     int dcacheLatency(DynInst *inst, Cycle start);
+    Cycle nextFetchCycle() const;
     bool herding() const { return cfg_.thermalHerding; }
+
+    DynInst &slot(std::uint64_t seq) { return window_[seq & windowMask_]; }
+    const DynInst &slot(std::uint64_t seq) const
+    {
+        return window_[seq & windowMask_];
+    }
 
     CoreConfig cfg_;
     FuLatencies fuLat_;
@@ -196,16 +215,30 @@ class Core
     StoreQueue sq_;
     FuPool fus_;
 
-    // Queues. unique_ptr ownership travels IFQ -> decode -> ROB; the
-    // RS holds raw pointers into ROB-owned instructions.
-    std::deque<std::unique_ptr<DynInst>> rob_;
-    std::deque<std::unique_ptr<DynInst>> ifq_;
-    std::deque<std::unique_ptr<DynInst>> decodeQ_;
-    std::vector<DynInst *> rs_;
+    // Instruction window: one ring of slots indexed by sequence number
+    // (slot(seq)), holding three adjacent ranges, oldest first: the
+    // ROB [head_, dispatch_), the decode queue [dispatch_, decode_)
+    // and the IFQ [decode_, nextSeq_). Sequence numbers start at 1;
+    // below head_ they have committed.
+    std::vector<DynInst> window_;
+    std::uint64_t windowMask_ = 0;
+    std::uint64_t head_ = 1;
+    std::uint64_t dispatch_ = 1;
+    std::uint64_t decode_ = 1;
+    std::uint64_t nextSeq_ = 1;
+    std::vector<std::uint64_t> rs_; ///< RS entries in dispatch order.
     int lqCount_ = 0;
 
-    // Register rename state: last in-flight writer per arch register.
-    std::vector<DynInst *> lastWriter_;
+    /** Pending writebacks (completeAt, seq) of issued instructions
+     *  with a destination register, earliest first. */
+    std::priority_queue<std::pair<Cycle, std::uint64_t>,
+                        std::vector<std::pair<Cycle, std::uint64_t>>,
+                        std::greater<>>
+        completions_;
+
+    // Register rename state: last writer (sequence number) per arch
+    // register.
+    std::vector<std::uint64_t> lastWriter_;
 
     // Fetch state.
     Cycle fetchResumeAt_ = 0;
@@ -221,7 +254,9 @@ class Core
     std::vector<Cycle> missSlots_;
 
     Cycle cycle_ = 0;
-    std::uint64_t nextSeq_ = 1;
+    /** Earliest cycle at which the current cycle's blocking conditions
+     *  can change (cycle_ + 1 once anything changed this cycle). */
+    Cycle nextEvent_ = 0;
     std::uint64_t committed_ = 0;
 
     // Incremental-run state (attach()/stepCycle()).
