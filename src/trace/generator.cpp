@@ -288,12 +288,15 @@ SyntheticTrace::buildProgram()
 {
     kernels_.clear();
     kernels_.reserve(static_cast<size_t>(profile_.numKernels));
+    int first_id = 0;
     for (int k = 0; k < profile_.numKernels; ++k) {
         const Addr base = kTextBase +
             static_cast<Addr>(k) *
             static_cast<Addr>(profile_.kernelSize) * 4 +
             static_cast<Addr>(k) * 64; // gap between kernels
         kernels_.push_back(buildKernel(k, base));
+        kernels_.back().firstId = first_id;
+        first_id += static_cast<int>(kernels_.back().insts.size());
     }
     assignMemorySets();
 }
@@ -440,12 +443,9 @@ SyntheticTrace::fillDynamic(const StaticInst &si, TraceRecord &rec)
         rec.srcValues[s] = reg_values_[si.srcRegs[s]];
     }
 
-    // Compute the static index of this instruction for per-site state.
-    int static_id = 0;
-    for (int k = 0; k < cur_kernel_; ++k)
-        static_id += static_cast<int>(kernels_[static_cast<size_t>(k)]
-                                          .insts.size());
-    static_id += cur_idx_;
+    // The static index of this instruction, for per-site state.
+    const int static_id =
+        kernels_[static_cast<size_t>(cur_kernel_)].firstId + cur_idx_;
 
     if (rec.isMem()) {
         rec.effAddr = nextMemAddr(si, static_id);

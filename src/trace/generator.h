@@ -144,6 +144,8 @@ class SyntheticTrace : public TraceSource
     {
         std::vector<StaticInst> insts;
         int loopBranchIdx = -1;
+        /** Program-wide static index of insts[0] (per-site state). */
+        int firstId = 0;
     };
 
     void buildProgram();
