@@ -6,7 +6,10 @@
  * spreader and heat sink; each layer is discretised into a uniform
  * grid of cells connected by lateral and vertical thermal
  * conductances, with distributed convection from the sink to ambient.
- * Steady-state temperatures come from SOR iteration.
+ * Steady-state temperatures come from SOR iteration (or multigrid),
+ * transients from explicit Euler (or the IMEX VerticalImplicit
+ * scheme). The exact SOR and explicit kernels run on a guard-padded
+ * copy of the network (DESIGN.md section 17).
  */
 
 #ifndef TH_THERMAL_GRID_H
@@ -23,6 +26,7 @@
 namespace th {
 
 class MgSolver;
+struct PaddedNetwork;
 
 /** One material layer of the stack (top = closest to the heat sink). */
 struct ThermalLayer
@@ -42,7 +46,13 @@ struct ThermalLayer
 
 /** SOR sweep ordering. */
 enum class SorOrdering {
-    /** Classic in-place lexicographic sweep; strictly serial. */
+    /**
+     * Classic in-place lexicographic sweep. Each cell reads its
+     * left, up and above neighbours already updated, so the sweep is
+     * one dependency chain; the kernel overlaps a few rows as a
+     * skewed wavefront, which reads exactly the same values, but runs
+     * on one thread.
+     */
     Lexicographic,
     /**
      * Two-colour (red/black) sweep: cells of one parity only read
@@ -248,7 +258,8 @@ class ThermalGrid
     /**
      * Stability-clamped explicit step: the largest dt <= @p dt_s that
      * satisfies dt <= 0.4 * C / sum(G) for every material cell. Both
-     * solveTransient() and TransientStepper step at this size.
+     * solveTransient() and TransientStepper step at this size, through
+     * the same explicit kernel.
      */
     double transientDt(double dt_s) const;
 
@@ -261,21 +272,12 @@ class ThermalGrid
     double transientDtLateral(double dt_s) const;
 
     /**
-     * One explicit-Euler step of @p dt_s seconds under the currently
-     * deposited power: T += dt/C * (sum G*(Tn - T) + P). @p scratch is
-     * resized on demand and reused across calls. @p dt_s must respect
-     * the stability bound — pass the result of transientDt().
-     */
-    void stepOnce(ThermalField &field, std::vector<double> &scratch,
-                  double dt_s) const;
-
-    /**
      * One TransientScheme::VerticalImplicit step of @p dt_s seconds:
      * lateral flux from the pre-step field plus injected power form
      * the explicit right-hand side, then every (ix, iy) column is
      * advanced by one backward-Euler solve of its vertical
      * conduction + ambient convection chain (Thomas algorithm). Air
-     * cells hold their temperature, exactly like stepOnce(). @p dt_s
+     * cells hold their temperature, as under explicit Euler. @p dt_s
      * must respect transientDtLateral(). Deterministic for any thread
      * count (the column loop is serial; columns are independent).
      */
@@ -300,11 +302,14 @@ class ThermalGrid
     const ThermalParams &params() const { return params_; }
 
   private:
+    friend class TransientStepper;
+
     /**
      * Precomputed RC network. The conductance, capacitance, and
      * conductance-sum arrays depend only on geometry, so they are
-     * built once per grid (lazily) and shared by every steady-state
-     * and transient solve; only the injected-power vector is refreshed
+     * built once per grid (lazily, together with the padded copy the
+     * exact kernels read) and shared by every steady-state and
+     * transient solve; only the injected-power vector is refreshed
      * after addPower()/clearPower(). A ThermalGrid instance is NOT
      * safe for concurrent use — parallel callers each own a grid.
      */
@@ -313,8 +318,6 @@ class ThermalGrid
         std::vector<double> gRight, gDown, gBelow, gAmb, pIn;
         /** Loop-invariant total conductance per cell (incl. ambient). */
         std::vector<double> gSum;
-        /** 1 / gSum, or 0 for isolated (air) cells. */
-        std::vector<double> invG;
         /** Thermal capacitance per cell (J/K); 0 outside material. */
         std::vector<double> cap;
         int n = 0;
@@ -329,7 +332,10 @@ class ThermalGrid
     /** Build-once/refresh accessor for the cached network. */
     const Network &network() const;
     void buildConductances() const;
+    void buildPadded() const;
     void refreshPower() const;
+    /** The padded copy of the network (built with it). */
+    const PaddedNetwork &padded() const;
 
     /** Multigrid dispatch target of solve(). */
     ThermalField solveMultigrid(SolveStats *stats,
@@ -351,6 +357,7 @@ class ThermalGrid
     std::vector<std::vector<double>> power_;
 
     mutable Network net_;
+    mutable std::unique_ptr<PaddedNetwork> padded_;
     mutable bool net_built_ = false;
     mutable bool power_dirty_ = true;
     /** Lazily built multigrid hierarchy; geometry-only, so it is
@@ -395,9 +402,19 @@ class TransientStepper
     std::int64_t steps() const { return steps_; }
 
   private:
+    // solveTransient steps by its own count through step().
+    friend class ThermalGrid;
+
+    /** Take exactly @p count steps, then refresh field(). */
+    void step(std::int64_t count);
+
     const ThermalGrid *grid_;
     ThermalField field_;
+    /** VerticalImplicit: the per-cell right-hand side. */
     std::vector<double> scratch_;
+    /** Explicit: the field on the padded layout, double-buffered
+     *  (cur_ holds the latest step), and each material cell's dt / C. */
+    std::vector<double> cur_, next_, rate_;
     double dt_;
     TransientScheme scheme_;
     double targetS_ = 0.0;

@@ -324,6 +324,24 @@ TEST(TransientStepperDeathTest, RejectsNegativeAdvance)
                 ::testing::ExitedWithCode(1), "backwards");
 }
 
+TEST(TransientStepperDeathTest, RejectsEitherWrongDimension)
+{
+    // Construction copies the field into the kernel's layout, so both
+    // dimensions are checked there, for both schemes — not at the
+    // first step.
+    const ThermalParams p = fastParams();
+    ThermalGrid grid = stackedGrid(p);
+    const ThermalField few_layers(p.gridN, 4, p.ambientK);
+    const ThermalField coarse(p.gridN / 2, 10, p.ambientK);
+    for (TransientScheme scheme :
+         {TransientScheme::Explicit, TransientScheme::VerticalImplicit}) {
+        EXPECT_EXIT(TransientStepper(grid, few_layers, 1e-4, scheme),
+                    ::testing::ExitedWithCode(1), "geometry");
+        EXPECT_EXIT(TransientStepper(grid, coarse, 1e-4, scheme),
+                    ::testing::ExitedWithCode(1), "geometry");
+    }
+}
+
 TEST(TransientDeathTest, RejectsBadArguments)
 {
     const ThermalParams p = fastParams();
