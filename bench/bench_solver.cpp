@@ -2,15 +2,14 @@
  * @file
  * Thermal-solver microbenchmark: times steady-state solves of the
  * 4-die stack at grid resolutions 32/64/128 for both steady solvers
- * (SOR in ThermalParams' default lexicographic ordering, and geometric
- * multigrid) at 1 and 4 worker threads, and emits JSON so BENCH_*.json
- * files can track the solver's perf trajectory across PRs. The
- * lexicographic sweep runs on one thread, so its 4-thread rows time
- * the same serial kernel as its 1-thread rows; only multigrid fans
- * out. The repeat solve is seeded from the first solve's converged
- * field, so warm_steady_ms measures the warm-start path (not a
- * from-ambient resolve, which an earlier revision of this bench
- * mistakenly timed as "cached").
+ * (lexicographic SOR and geometric multigrid) at 1 and 4 worker
+ * threads, and emits JSON so BENCH_*.json files can track the
+ * solver's perf trajectory across PRs. The SOR sweep runs on one
+ * thread, so its 4-thread rows time the same serial kernel as its
+ * 1-thread rows; only multigrid fans out. The repeat solve is seeded
+ * from the first solve's converged field, so warm_steady_ms measures
+ * the warm-start path (not a from-ambient resolve, which an earlier
+ * revision of this bench mistakenly timed as "cached").
  *
  * Usage: bench_solver [output.json]   (always prints to stdout too)
  *        bench_solver --smoke

@@ -17,6 +17,7 @@
 
 #include "common/stats.h"
 #include "common/table.h"
+#include "core/activity.h"
 #include "sim/system.h"
 #include "trace/suites.h"
 
@@ -42,6 +43,20 @@ parseConfig(const std::string &name)
     std::cerr << "unknown config '" << name
               << "' (Base|TH|Pipe|Fast|3D|3D-noTH)\n";
     std::exit(1);
+}
+
+/** One --stats line per counter; a histogram prints count and mean. */
+void
+printStat(const char *group, const char *name, const Counter &c)
+{
+    std::cout << group << '.' << name << ' ' << c.value() << '\n';
+}
+
+void
+printStat(const char *group, const char *name, const Histogram &h)
+{
+    std::cout << group << '.' << name << ".count " << h.count() << '\n'
+              << group << '.' << name << ".mean " << h.mean() << '\n';
 }
 
 void
@@ -162,11 +177,13 @@ main(int argc, char **argv)
     }
 
     if (dump_stats) {
-        StatRegistry reg;
-        ev.core.perf.registerStats(reg, "core");
-        ev.core.activity.registerStats(reg, "activity");
         std::cout << "\n";
-        reg.dump(std::cout);
+        forEachPerfStat([](const char *name, const auto &s) {
+            printStat("core", name, s);
+        }, ev.core.perf);
+        forEachActivityStat([](const char *name, const Counter &c) {
+            printStat("activity", name, c);
+        }, ev.core.activity);
     }
     return 0;
 }

@@ -118,52 +118,6 @@ LatencyHistogram::reset()
     count_ = 0;
 }
 
-void
-StatRegistry::registerCounter(const std::string &name, const Counter *c)
-{
-    counters_[name] = c;
-}
-
-void
-StatRegistry::registerHistogram(const std::string &name, const Histogram *h)
-{
-    histograms_[name] = h;
-}
-
-std::uint64_t
-StatRegistry::counterValue(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second->value();
-}
-
-bool
-StatRegistry::hasCounter(const std::string &name) const
-{
-    return counters_.count(name) > 0;
-}
-
-std::vector<std::string>
-StatRegistry::counterNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        names.push_back(kv.first);
-    return names;
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &kv : counters_)
-        os << kv.first << " " << kv.second->value() << "\n";
-    for (const auto &kv : histograms_) {
-        os << kv.first << ".count " << kv.second->count() << "\n";
-        os << kv.first << ".mean " << kv.second->mean() << "\n";
-    }
-}
-
 double
 geomean(const std::vector<double> &vals)
 {

@@ -1,22 +1,18 @@
 /**
  * @file
- * Lightweight statistics collection, in the spirit of the gem5 stats
- * package: named scalar counters, ratio formulas, and histograms that a
- * simulation object registers and a reporter dumps at the end of a run.
+ * Lightweight statistics: scalar counters, histograms and means. The
+ * core's named lists of them live in core/activity.h.
  */
 
 #ifndef TH_COMMON_STATS_H
 #define TH_COMMON_STATS_H
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace th {
 
-/** A named monotonically increasing scalar statistic. */
+/** A monotonically increasing scalar statistic. */
 class Counter
 {
   public:
@@ -113,36 +109,6 @@ class LatencyHistogram
   private:
     std::uint64_t buckets_[kBuckets] = {};
     std::uint64_t count_ = 0;
-};
-
-/**
- * A registry of named statistics owned by simulation components.
- *
- * Components register pointers to their Counter/Histogram members under
- * hierarchical dotted names (e.g. "core.rf.reads_low"). The registry
- * never owns the statistics; registrants must outlive it or deregister.
- */
-class StatRegistry
-{
-  public:
-    void registerCounter(const std::string &name, const Counter *c);
-    void registerHistogram(const std::string &name, const Histogram *h);
-
-    /** Look up a counter value by name; returns 0 if absent. */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    /** True when a counter with this name has been registered. */
-    bool hasCounter(const std::string &name) const;
-
-    /** All registered counter names, sorted. */
-    std::vector<std::string> counterNames() const;
-
-    /** Dump all statistics in "name value" lines. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Histogram *> histograms_;
 };
 
 /** Geometric mean of a vector of positive values; 0 if empty. */

@@ -2,16 +2,16 @@
  * @file
  * Counter-zip helper shared by the interval fitter and replay engine:
  * applies one operation to every corresponding Counter pair of two
- * CoreResults (the valueWidthBits histogram is handled separately by
- * both callers). The field list deliberately mirrors
- * encodePerfStats/encodeActivityStats in io/serialize.cpp — a counter
- * added to the stats structs must be added here too, or fitting would
- * silently drop it from the model (test_interval pins a full-coverage
- * round trip against the serializer to catch that).
+ * CoreResults (the value-width histogram is handled separately by
+ * both callers). It walks the same lists as the store codec
+ * (core/activity.h), so a counter the codec persists is never dropped
+ * from a fitted model.
  */
 
 #ifndef TH_INTERVAL_STATS_OPS_H
 #define TH_INTERVAL_STATS_OPS_H
+
+#include <type_traits>
 
 #include "core/pipeline.h"
 
@@ -22,82 +22,12 @@ template <class Fn>
 void
 zipCoreCounters(CoreResult &into, const CoreResult &from, Fn &&fn)
 {
-    PerfStats &p = into.perf;
-    const PerfStats &q = from.perf;
-    fn(p.cycles, q.cycles);
-    fn(p.committedInsts, q.committedInsts);
-    fn(p.fetchedInsts, q.fetchedInsts);
-    fn(p.branches, q.branches);
-    fn(p.branchMispredicts, q.branchMispredicts);
-    fn(p.btbMisses, q.btbMisses);
-    fn(p.btbTargetStalls, q.btbTargetStalls);
-    fn(p.widthPredictions, q.widthPredictions);
-    fn(p.widthPredCorrect, q.widthPredCorrect);
-    fn(p.widthUnsafe, q.widthUnsafe);
-    fn(p.widthSafeMiss, q.widthSafeMiss);
-    fn(p.rfGroupStalls, q.rfGroupStalls);
-    fn(p.execInputStalls, q.execInputStalls);
-    fn(p.execReplays, q.execReplays);
-    fn(p.dcacheWidthStalls, q.dcacheWidthStalls);
-    fn(p.loads, q.loads);
-    fn(p.stores, q.stores);
-    fn(p.storeForwards, q.storeForwards);
-    fn(p.dl1Misses, q.dl1Misses);
-    fn(p.il1Misses, q.il1Misses);
-    fn(p.l2Misses, q.l2Misses);
-    fn(p.itlbMisses, q.itlbMisses);
-    fn(p.dtlbMisses, q.dtlbMisses);
-    fn(p.pamHits, q.pamHits);
-    fn(p.pamMisses, q.pamMisses);
-    fn(p.pveZeros, q.pveZeros);
-    fn(p.pveOnes, q.pveOnes);
-    fn(p.pveAddr, q.pveAddr);
-    fn(p.pveExplicit, q.pveExplicit);
-
-    ActivityStats &a = into.activity;
-    const ActivityStats &b = from.activity;
-    fn(a.rfReadLow, b.rfReadLow);
-    fn(a.rfReadFull, b.rfReadFull);
-    fn(a.rfWriteLow, b.rfWriteLow);
-    fn(a.rfWriteFull, b.rfWriteFull);
-    fn(a.aluLow, b.aluLow);
-    fn(a.aluFull, b.aluFull);
-    fn(a.shiftLow, b.shiftLow);
-    fn(a.shiftFull, b.shiftFull);
-    fn(a.multLow, b.multLow);
-    fn(a.multFull, b.multFull);
-    fn(a.fpOps, b.fpOps);
-    fn(a.bypassLow, b.bypassLow);
-    fn(a.bypassFull, b.bypassFull);
-    for (int d = 0; d < kNumDies; ++d)
-        fn(a.schedWakeupDie[d], b.schedWakeupDie[d]);
-    fn(a.schedSelect, b.schedSelect);
-    fn(a.schedAlloc, b.schedAlloc);
-    for (int d = 0; d < kNumDies; ++d)
-        fn(a.schedAllocDie[d], b.schedAllocDie[d]);
-    fn(a.lsqSearchLow, b.lsqSearchLow);
-    fn(a.lsqSearchFull, b.lsqSearchFull);
-    fn(a.lsqWrite, b.lsqWrite);
-    fn(a.dl1ReadLow, b.dl1ReadLow);
-    fn(a.dl1ReadFull, b.dl1ReadFull);
-    fn(a.dl1WriteLow, b.dl1WriteLow);
-    fn(a.dl1WriteFull, b.dl1WriteFull);
-    fn(a.dl1Fill, b.dl1Fill);
-    fn(a.il1Access, b.il1Access);
-    fn(a.itlbAccess, b.itlbAccess);
-    fn(a.dtlbAccess, b.dtlbAccess);
-    fn(a.btbLow, b.btbLow);
-    fn(a.btbFull, b.btbFull);
-    fn(a.bpredLookup, b.bpredLookup);
-    fn(a.bpredUpdate, b.bpredUpdate);
-    fn(a.decodeUops, b.decodeUops);
-    fn(a.renameUops, b.renameUops);
-    fn(a.robReadLow, b.robReadLow);
-    fn(a.robReadFull, b.robReadFull);
-    fn(a.robWriteLow, b.robWriteLow);
-    fn(a.robWriteFull, b.robWriteFull);
-    fn(a.l2Access, b.l2Access);
-    fn(a.miscUops, b.miscUops);
+    const auto counters = [&fn](const char *, auto &a, const auto &b) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(a)>, Counter>)
+            fn(a, b);
+    };
+    forEachPerfStat(counters, into.perf, from.perf);
+    forEachActivityStat(counters, into.activity, from.activity);
 }
 
 } // namespace th

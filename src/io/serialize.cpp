@@ -7,17 +7,30 @@ namespace {
 /** Histogram bucket-count sanity bound for decode. */
 constexpr std::uint32_t kMaxBuckets = 1u << 16;
 
+// encodeStat/decodeStat: one statistic of the core/activity.h lists.
 void
-encodeCounter(Encoder &enc, const Counter &c)
+encodeStat(Encoder &enc, const Counter &c)
 {
     enc.u64(c.value());
 }
 
+void
+encodeStat(Encoder &enc, const Histogram &h)
+{
+    encodeHistogram(enc, h);
+}
+
 bool
-decodeCounter(Decoder &dec, Counter &c)
+decodeStat(Decoder &dec, Counter &c)
 {
     c.set(dec.u64());
     return dec.ok();
+}
+
+bool
+decodeStat(Decoder &dec, Histogram &h)
+{
+    return decodeHistogram(dec, h);
 }
 
 } // namespace
@@ -56,170 +69,38 @@ decodeHistogram(Decoder &dec, Histogram &h)
     return h.restore(lo, hi, std::move(buckets), count, sum, min, max);
 }
 
-void
+// flatten: every CoreResult load runs these; inlining the list and
+// its lambda into each keeps them straight-line code.
+[[gnu::flatten]] void
 encodePerfStats(Encoder &enc, const PerfStats &perf)
 {
-    encodeCounter(enc, perf.cycles);
-    encodeCounter(enc, perf.committedInsts);
-    encodeCounter(enc, perf.fetchedInsts);
-    encodeHistogram(enc, perf.valueWidthBits);
-    encodeCounter(enc, perf.branches);
-    encodeCounter(enc, perf.branchMispredicts);
-    encodeCounter(enc, perf.btbMisses);
-    encodeCounter(enc, perf.btbTargetStalls);
-    encodeCounter(enc, perf.widthPredictions);
-    encodeCounter(enc, perf.widthPredCorrect);
-    encodeCounter(enc, perf.widthUnsafe);
-    encodeCounter(enc, perf.widthSafeMiss);
-    encodeCounter(enc, perf.rfGroupStalls);
-    encodeCounter(enc, perf.execInputStalls);
-    encodeCounter(enc, perf.execReplays);
-    encodeCounter(enc, perf.dcacheWidthStalls);
-    encodeCounter(enc, perf.loads);
-    encodeCounter(enc, perf.stores);
-    encodeCounter(enc, perf.storeForwards);
-    encodeCounter(enc, perf.dl1Misses);
-    encodeCounter(enc, perf.il1Misses);
-    encodeCounter(enc, perf.l2Misses);
-    encodeCounter(enc, perf.itlbMisses);
-    encodeCounter(enc, perf.dtlbMisses);
-    encodeCounter(enc, perf.pamHits);
-    encodeCounter(enc, perf.pamMisses);
-    encodeCounter(enc, perf.pveZeros);
-    encodeCounter(enc, perf.pveOnes);
-    encodeCounter(enc, perf.pveAddr);
-    encodeCounter(enc, perf.pveExplicit);
+    forEachPerfStat(
+        [&enc](const char *, const auto &s) { encodeStat(enc, s); },
+        perf);
 }
 
-bool
+[[gnu::flatten]] bool
 decodePerfStats(Decoder &dec, PerfStats &perf)
 {
-    decodeCounter(dec, perf.cycles);
-    decodeCounter(dec, perf.committedInsts);
-    decodeCounter(dec, perf.fetchedInsts);
-    if (!decodeHistogram(dec, perf.valueWidthBits))
-        return false;
-    decodeCounter(dec, perf.branches);
-    decodeCounter(dec, perf.branchMispredicts);
-    decodeCounter(dec, perf.btbMisses);
-    decodeCounter(dec, perf.btbTargetStalls);
-    decodeCounter(dec, perf.widthPredictions);
-    decodeCounter(dec, perf.widthPredCorrect);
-    decodeCounter(dec, perf.widthUnsafe);
-    decodeCounter(dec, perf.widthSafeMiss);
-    decodeCounter(dec, perf.rfGroupStalls);
-    decodeCounter(dec, perf.execInputStalls);
-    decodeCounter(dec, perf.execReplays);
-    decodeCounter(dec, perf.dcacheWidthStalls);
-    decodeCounter(dec, perf.loads);
-    decodeCounter(dec, perf.stores);
-    decodeCounter(dec, perf.storeForwards);
-    decodeCounter(dec, perf.dl1Misses);
-    decodeCounter(dec, perf.il1Misses);
-    decodeCounter(dec, perf.l2Misses);
-    decodeCounter(dec, perf.itlbMisses);
-    decodeCounter(dec, perf.dtlbMisses);
-    decodeCounter(dec, perf.pamHits);
-    decodeCounter(dec, perf.pamMisses);
-    decodeCounter(dec, perf.pveZeros);
-    decodeCounter(dec, perf.pveOnes);
-    decodeCounter(dec, perf.pveAddr);
-    decodeCounter(dec, perf.pveExplicit);
-    return dec.ok();
+    bool ok = true;
+    forEachPerfStat(
+        [&](const char *, auto &s) { ok &= decodeStat(dec, s); }, perf);
+    return ok;
 }
 
-void
+[[gnu::flatten]] void
 encodeActivityStats(Encoder &enc, const ActivityStats &act)
 {
-    encodeCounter(enc, act.rfReadLow);
-    encodeCounter(enc, act.rfReadFull);
-    encodeCounter(enc, act.rfWriteLow);
-    encodeCounter(enc, act.rfWriteFull);
-    encodeCounter(enc, act.aluLow);
-    encodeCounter(enc, act.aluFull);
-    encodeCounter(enc, act.shiftLow);
-    encodeCounter(enc, act.shiftFull);
-    encodeCounter(enc, act.multLow);
-    encodeCounter(enc, act.multFull);
-    encodeCounter(enc, act.fpOps);
-    encodeCounter(enc, act.bypassLow);
-    encodeCounter(enc, act.bypassFull);
-    for (int d = 0; d < kNumDies; ++d)
-        encodeCounter(enc, act.schedWakeupDie[d]);
-    encodeCounter(enc, act.schedSelect);
-    encodeCounter(enc, act.schedAlloc);
-    for (int d = 0; d < kNumDies; ++d)
-        encodeCounter(enc, act.schedAllocDie[d]);
-    encodeCounter(enc, act.lsqSearchLow);
-    encodeCounter(enc, act.lsqSearchFull);
-    encodeCounter(enc, act.lsqWrite);
-    encodeCounter(enc, act.dl1ReadLow);
-    encodeCounter(enc, act.dl1ReadFull);
-    encodeCounter(enc, act.dl1WriteLow);
-    encodeCounter(enc, act.dl1WriteFull);
-    encodeCounter(enc, act.dl1Fill);
-    encodeCounter(enc, act.il1Access);
-    encodeCounter(enc, act.itlbAccess);
-    encodeCounter(enc, act.dtlbAccess);
-    encodeCounter(enc, act.btbLow);
-    encodeCounter(enc, act.btbFull);
-    encodeCounter(enc, act.bpredLookup);
-    encodeCounter(enc, act.bpredUpdate);
-    encodeCounter(enc, act.decodeUops);
-    encodeCounter(enc, act.renameUops);
-    encodeCounter(enc, act.robReadLow);
-    encodeCounter(enc, act.robReadFull);
-    encodeCounter(enc, act.robWriteLow);
-    encodeCounter(enc, act.robWriteFull);
-    encodeCounter(enc, act.l2Access);
-    encodeCounter(enc, act.miscUops);
+    forEachActivityStat(
+        [&enc](const char *, const Counter &c) { encodeStat(enc, c); },
+        act);
 }
 
-bool
+[[gnu::flatten]] bool
 decodeActivityStats(Decoder &dec, ActivityStats &act)
 {
-    decodeCounter(dec, act.rfReadLow);
-    decodeCounter(dec, act.rfReadFull);
-    decodeCounter(dec, act.rfWriteLow);
-    decodeCounter(dec, act.rfWriteFull);
-    decodeCounter(dec, act.aluLow);
-    decodeCounter(dec, act.aluFull);
-    decodeCounter(dec, act.shiftLow);
-    decodeCounter(dec, act.shiftFull);
-    decodeCounter(dec, act.multLow);
-    decodeCounter(dec, act.multFull);
-    decodeCounter(dec, act.fpOps);
-    decodeCounter(dec, act.bypassLow);
-    decodeCounter(dec, act.bypassFull);
-    for (int d = 0; d < kNumDies; ++d)
-        decodeCounter(dec, act.schedWakeupDie[d]);
-    decodeCounter(dec, act.schedSelect);
-    decodeCounter(dec, act.schedAlloc);
-    for (int d = 0; d < kNumDies; ++d)
-        decodeCounter(dec, act.schedAllocDie[d]);
-    decodeCounter(dec, act.lsqSearchLow);
-    decodeCounter(dec, act.lsqSearchFull);
-    decodeCounter(dec, act.lsqWrite);
-    decodeCounter(dec, act.dl1ReadLow);
-    decodeCounter(dec, act.dl1ReadFull);
-    decodeCounter(dec, act.dl1WriteLow);
-    decodeCounter(dec, act.dl1WriteFull);
-    decodeCounter(dec, act.dl1Fill);
-    decodeCounter(dec, act.il1Access);
-    decodeCounter(dec, act.itlbAccess);
-    decodeCounter(dec, act.dtlbAccess);
-    decodeCounter(dec, act.btbLow);
-    decodeCounter(dec, act.btbFull);
-    decodeCounter(dec, act.bpredLookup);
-    decodeCounter(dec, act.bpredUpdate);
-    decodeCounter(dec, act.decodeUops);
-    decodeCounter(dec, act.renameUops);
-    decodeCounter(dec, act.robReadLow);
-    decodeCounter(dec, act.robReadFull);
-    decodeCounter(dec, act.robWriteLow);
-    decodeCounter(dec, act.robWriteFull);
-    decodeCounter(dec, act.l2Access);
-    decodeCounter(dec, act.miscUops);
+    forEachActivityStat(
+        [&dec](const char *, Counter &c) { decodeStat(dec, c); }, act);
     return dec.ok();
 }
 

@@ -107,8 +107,7 @@ MulticoreSystem::run(const std::vector<BenchmarkProfile> &profiles,
                      const CoreConfig &cfg,
                      const std::string &config_name,
                      const MulticoreConfig &mc,
-                     const CancelToken *cancel,
-                     TransientScheme scheme) const
+                     const CancelToken *cancel) const
 {
     if (!power_.calibrated())
         fatal("multicore engine needs a calibrated power model");
@@ -205,13 +204,7 @@ MulticoreSystem::run(const std::vector<BenchmarkProfile> &profiles,
         rep.cores[c].peakK = core_peak_now[c];
     }
 
-    // Same integrator policy as DtmEngine::run.
-    constexpr double kImplicitStepsPerInterval = 16.0;
-    const double dt_request =
-        scheme == TransientScheme::VerticalImplicit
-            ? thermal_interval_s / kImplicitStepsPerInterval
-            : opts.maxDtS;
-    TransientStepper stepper(grid, init, dt_request, scheme);
+    TransientStepper stepper(grid, init, opts.maxDtS);
 
     std::vector<std::unique_ptr<DtmPolicy>> policies;
     policies.reserve(nsize);

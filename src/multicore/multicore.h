@@ -120,19 +120,14 @@ class MulticoreSystem
      * Run the closed loop. @p profiles holds one benchmark profile per
      * core (size must equal mc.numCores); @p cfg supplies the core
      * microarchitecture, frequency, and planar/stacked selection the
-     * generated floorplan follows.
-     *
-     * @p scheme selects the transient integrator exactly as in
-     * DtmEngine::run — the cycle-accurate default keeps the explicit
-     * stepper.
+     * generated floorplan follows. The transient integrator is the
+     * explicit stepper, as in the cycle-accurate DtmEngine::run.
      */
     MulticoreReport run(const std::vector<BenchmarkProfile> &profiles,
                         const CoreConfig &cfg,
                         const std::string &config_name,
                         const MulticoreConfig &mc,
-                        const CancelToken *cancel = nullptr,
-                        TransientScheme scheme =
-                            TransientScheme::Explicit) const;
+                        const CancelToken *cancel = nullptr) const;
 
   private:
     const PowerModel &power_;

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/log.h"
-#include "common/threadpool.h"
 #include "thermal/multigrid.h"
 
 namespace th {
@@ -44,14 +43,12 @@ struct PaddedNetwork
         std::size_t cell; ///< Padded index of the first cell.
         std::size_t flat; ///< Its ThermalField / Network index.
         int len;
-        int parity; ///< (l + iy + ix) & 1 of the first cell.
     };
     /** Cells the explicit kernel steps (C > 0), row by row. */
     std::vector<Span> stepSpans;
     /** Cells the SOR sweep updates (sum G > 0), in lexicographic
-     *  order; row r = l * n + iy owns [sorRow[r], sorRow[r + 1]). */
+     *  order. */
     std::vector<Span> sorSpans;
-    std::vector<std::size_t> sorRow;
 
     /**
      * The lexicographic sweep plan, in order: @p rows consecutive
@@ -545,14 +542,15 @@ ThermalGrid::buildPadded() const
             int end = ix + 1;
             while (end < n && visit(end))
                 ++end;
-            out.push_back({g.at(l, ix, iy), net.idx(l, ix, iy), end - ix,
-                           (l + iy + ix) & 1});
+            out.push_back({g.at(l, ix, iy), net.idx(l, ix, iy), end - ix});
             ix = end;
         }
     };
+    // Row r = l * n + iy owns sorSpans [sor_row[r], sor_row[r + 1]).
+    std::vector<size_t> sor_row;
     for (int l = 0; l < nl; ++l) {
         for (int iy = 0; iy < n; ++iy) {
-            g.sorRow.push_back(g.sorSpans.size());
+            sor_row.push_back(g.sorSpans.size());
             addSpans(l, iy, [&](int ix) {
                 return net.cap[net.idx(l, ix, iy)] > 0.0;
             }, g.stepSpans);
@@ -561,33 +559,33 @@ ThermalGrid::buildPadded() const
             }, g.sorSpans);
         }
     }
-    g.sorRow.push_back(g.sorSpans.size());
+    sor_row.push_back(g.sorSpans.size());
 
     // Lexicographic plan: blocks of up to kSkewRows rows of one layer
     // whose single spans share their columns; any other row sweeps its
     // spans one by one.
     const auto rows = static_cast<size_t>(nl) * n;
     const auto single = [&](size_t r) {
-        return g.sorRow[r + 1] - g.sorRow[r] == 1;
+        return sor_row[r + 1] - sor_row[r] == 1;
     };
     for (size_t r = 0; r < rows;) {
         if (!single(r)) {
-            for (size_t sp = g.sorRow[r]; sp < g.sorRow[r + 1]; ++sp)
+            for (size_t sp = sor_row[r]; sp < sor_row[r + 1]; ++sp)
                 g.sorGroups.push_back({sp, 1});
             ++r;
             continue;
         }
-        const PaddedNetwork::Span &top = g.sorSpans[g.sorRow[r]];
+        const PaddedNetwork::Span &top = g.sorSpans[sor_row[r]];
         size_t k = 1;
         while (k < kSkewRows && r + k < rows &&
                (r + k) % static_cast<size_t>(n) != 0 && single(r + k)) {
-            const PaddedNetwork::Span &next = g.sorSpans[g.sorRow[r + k]];
+            const PaddedNetwork::Span &next = g.sorSpans[sor_row[r + k]];
             if (next.len != top.len ||
                 next.cell != top.cell + k * static_cast<size_t>(g.pn))
                 break;
             ++k;
         }
-        g.sorGroups.push_back({g.sorRow[r], static_cast<int>(k)});
+        g.sorGroups.push_back({sor_row[r], static_cast<int>(k)});
         r += k;
     }
     padded_ = std::move(pad);
@@ -661,50 +659,15 @@ ThermalGrid::solve(SolveStats *stats, const ThermalField *warm_start) const
                 g.gAmb[sp.cell + static_cast<size_t>(i)] * t_amb +
                 net.pIn[sp.flat + static_cast<size_t>(i)];
 
-    const bool red_black =
-        params_.sorOrdering == SorOrdering::RedBlack;
-    ThreadPool &pool = ThreadPool::global();
-    const int rows = nl * n; // (layer, iy) pairs
-    std::vector<double> row_delta(
-        red_black ? static_cast<size_t>(rows) : 0, 0.0);
-
-    // Half-sweep over one colour class. Cells of a colour only read
-    // neighbours of the other colour, so rows are processed in
-    // parallel; per-row maxima are reduced in index order afterwards,
-    // keeping the result bit-identical for any thread count.
-    auto sweepColor = [&](int color) {
-        pool.parallelFor(static_cast<size_t>(rows), [&](size_t r) {
-            double md = 0.0;
-            for (size_t k = g.sorRow[r]; k < g.sorRow[r + 1]; ++k) {
-                const PaddedNetwork::Span &sp = g.sorSpans[k];
-                for (int i = (color + sp.parity) & 1; i < sp.len; i += 2)
-                    md = std::max(md,
-                                  sorCell(g, src.data(), t.data(),
-                                          sp.cell + static_cast<size_t>(i),
-                                          omega));
-            }
-            row_delta[r] = md;
-        });
-        double md = 0.0;
-        for (double d : row_delta)
-            md = std::max(md, d);
-        return md;
-    };
-
     int iter = 0;
     double max_delta = 0.0;
     for (; iter < params_.maxIterations; ++iter) {
-        if (red_black) {
-            max_delta = sweepColor(0);
-            max_delta = std::max(max_delta, sweepColor(1));
-        } else {
-            max_delta = 0.0;
-            for (const PaddedNetwork::Group &grp : g.sorGroups) {
-                const PaddedNetwork::Span &sp = g.sorSpans[grp.span];
-                max_delta = std::max(
-                    max_delta, sorRows(g, src.data(), t.data(), sp.cell,
-                                       sp.len, grp.rows, omega));
-            }
+        max_delta = 0.0;
+        for (const PaddedNetwork::Group &grp : g.sorGroups) {
+            const PaddedNetwork::Span &sp = g.sorSpans[grp.span];
+            max_delta = std::max(
+                max_delta, sorRows(g, src.data(), t.data(), sp.cell,
+                                   sp.len, grp.rows, omega));
         }
         if (max_delta < params_.maxResidualK)
             break;

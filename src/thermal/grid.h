@@ -44,28 +44,15 @@ struct ThermalLayer
     double volHeatCapacity = 1.63e6;
 };
 
-/** SOR sweep ordering. */
-enum class SorOrdering {
-    /**
-     * Classic in-place lexicographic sweep. Each cell reads its
-     * left, up and above neighbours already updated, so the sweep is
-     * one dependency chain; the kernel overlaps a few rows as a
-     * skewed wavefront, which reads exactly the same values, but runs
-     * on one thread.
-     */
-    Lexicographic,
-    /**
-     * Two-colour (red/black) sweep: cells of one parity only read
-     * cells of the other, so each half-sweep is parallelised across
-     * the global thread pool with bit-identical results for any
-     * thread count.
-     */
-    RedBlack
-};
-
 /** Steady-state solution algorithm. */
 enum class SolverKind {
-    /** Point successive over-relaxation (ordering per sorOrdering). */
+    /**
+     * Point successive over-relaxation, swept in place in
+     * lexicographic order. Each cell reads its left, up and above
+     * neighbours already updated, so the sweep is one dependency
+     * chain; the kernel overlaps a few rows as a skewed wavefront,
+     * which reads exactly the same values, but runs on one thread.
+     */
     Sor,
     /**
      * Geometric multigrid V-cycles (lateral 2x2 coarsening of the
@@ -117,7 +104,6 @@ struct ThermalParams
     double sorOmega = 1.88;
     double maxResidualK = 1e-4;
     int maxIterations = 200000;
-    SorOrdering sorOrdering = SorOrdering::Lexicographic;
     SolverKind solver = SolverKind::Sor;
 
     // --- Multigrid knobs (ignored by the SOR path). maxIterations

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <set>
+#include <string>
+#include <type_traits>
 
 #include "core/activity.h"
 #include "core/params.h"
@@ -9,44 +11,77 @@
 namespace th {
 namespace {
 
+/** True when a visited statistic of type @p S is the Histogram. */
+template <class S>
+constexpr bool kIsHistogram =
+    std::is_same_v<std::decay_t<S>, Histogram>;
+
 TEST(ActivityStats, RegistersAllCounters)
 {
+    // The list visits each of the 46 counters once, under a unique
+    // name, and the struct holds nothing it does not visit.
     ActivityStats act;
-    StatRegistry reg;
-    act.registerStats(reg, "a");
+    int visits = 0;
+    std::set<std::string> names;
+    std::set<const Counter *> counters;
+    forEachActivityStat([&](const char *name, const Counter &c) {
+        ++visits;
+        names.insert(name);
+        counters.insert(&c);
+    }, act);
+    EXPECT_EQ(visits, 46);
+    EXPECT_EQ(names.size(), 46u);
+    EXPECT_EQ(counters.size(), 46u);
+    EXPECT_EQ(sizeof(ActivityStats), 46 * sizeof(Counter));
     for (const char *name :
-         {"a.rf.read_low", "a.rf.read_full", "a.alu.low", "a.alu.full",
-          "a.bypass.low", "a.bypass.full", "a.sched.wakeup_die0",
-          "a.sched.wakeup_die3", "a.sched.alloc", "a.lsq.search_low",
-          "a.dl1.read_low", "a.dl1.fill", "a.il1.access", "a.btb.low",
-          "a.bpred.lookup", "a.rob.write_full", "a.l2.access",
-          "a.misc.uops"}) {
-        EXPECT_TRUE(reg.hasCounter(name)) << name;
-    }
+         {"rf.read_low", "alu.full", "sched.wakeup_die0",
+          "sched.wakeup_die3", "sched.alloc", "sched.alloc_die3",
+          "dl1.fill", "rob.write_full", "l2.access", "misc.uops"})
+        EXPECT_EQ(names.count(name), 1u) << name;
 }
 
 TEST(ActivityStats, RegistryReflectsLiveCounters)
 {
+    // The list hands out the struct's own members: a value set on the
+    // struct shows under its name, and a write through it lands there.
     ActivityStats act;
-    StatRegistry reg;
-    act.registerStats(reg, "x");
     act.aluLow.inc(7);
-    EXPECT_EQ(reg.counterValue("x.alu.low"), 7u);
+    std::uint64_t seen = 0;
+    forEachActivityStat([&](const char *name, Counter &c) {
+        if (std::string(name) == "alu.low")
+            seen = c.value();
+        if (std::string(name) == "sched.alloc_die2")
+            c.set(11);
+    }, act);
+    EXPECT_EQ(seen, 7u);
+    EXPECT_EQ(act.schedAllocDie[2].value(), 11u);
 }
 
 TEST(PerfStats, RegistersAllCounters)
 {
+    // 29 counters and one histogram, each visited once under a unique
+    // name; the struct holds nothing else.
     PerfStats perf;
-    StatRegistry reg;
-    perf.registerStats(reg, "p");
+    int counters = 0;
+    int histograms = 0;
+    std::set<std::string> names;
+    std::set<const void *> stats;
+    forEachPerfStat([&](const char *name, const auto &s) {
+        (kIsHistogram<decltype(s)> ? histograms : counters) += 1;
+        names.insert(name);
+        stats.insert(&s);
+    }, perf);
+    EXPECT_EQ(counters, 29);
+    EXPECT_EQ(histograms, 1);
+    EXPECT_EQ(names.size(), 30u);
+    EXPECT_EQ(stats.size(), 30u);
+    EXPECT_EQ(sizeof(PerfStats), 29 * sizeof(Counter) + sizeof(Histogram));
     for (const char *name :
-         {"p.cycles", "p.committed", "p.branches",
-          "p.branch_mispredicts", "p.width.predictions",
-          "p.width.unsafe", "p.width.rf_group_stalls",
-          "p.mem.loads", "p.mem.dl1_misses", "p.lsq.pam_hits",
-          "p.pve.zeros", "p.pve.explicit"}) {
-        EXPECT_TRUE(reg.hasCounter(name)) << name;
-    }
+         {"cycles", "committed", "branches", "branch_mispredicts",
+          "width.predictions", "width.unsafe", "width.rf_group_stalls",
+          "mem.loads", "mem.dl1_misses", "lsq.pam_hits", "pve.zeros",
+          "pve.explicit"})
+        EXPECT_EQ(names.count(name), 1u) << name;
 }
 
 TEST(PerfStats, DerivedMetrics)
@@ -148,15 +183,24 @@ TEST(TraceRecordWidths, ResultAndSourceClassification)
 
 TEST(PerfStats, ValueWidthHistogramRegistered)
 {
+    // The live histogram is the list's fourth entry, where the store
+    // schema puts it.
     PerfStats perf;
     perf.valueWidthBits.sample(8.0);
     perf.valueWidthBits.sample(40.0);
-    StatRegistry reg;
-    perf.registerStats(reg, "p");
-    std::ostringstream os;
-    reg.dump(os);
-    EXPECT_NE(os.str().find("p.value_width_bits.count 2"),
-              std::string::npos);
+    int index = 0;
+    int at = -1;
+    std::uint64_t count = 0;
+    forEachPerfStat([&](const char *name, const auto &s) {
+        if constexpr (kIsHistogram<decltype(s)>) {
+            EXPECT_STREQ(name, "value_width_bits");
+            at = index;
+            count = s.count();
+        }
+        ++index;
+    }, perf);
+    EXPECT_EQ(at, 3);
+    EXPECT_EQ(count, 2u);
 }
 
 } // namespace

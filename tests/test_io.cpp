@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
+#include <vector>
 
 #include "io/chunkio.h"
 #include "io/crc32.h"
@@ -657,6 +659,54 @@ TEST(SerializeTest, CoreResultRoundTripsBitIdentical)
     EXPECT_EQ(back.freqGhz, r.freqGhz);
     EXPECT_EQ(back.perf.cycles.value(), 123456u);
     EXPECT_EQ(back.activity.schedWakeupDie[kNumDies - 1].value(), 7u);
+}
+
+TEST(SerializeTest, EveryStatRoundTrips)
+{
+    // Fill every statistic through the core/activity.h lists with its
+    // own value, so a stat the codec dropped or misplaced would show.
+    CoreResult r;
+    r.freqGhz = 2.5;
+    std::uint64_t next = 1;
+    const auto fill = [&next](const char *, auto &s) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(s)>,
+                                     Histogram>) {
+            for (int i = 0; i < 100; ++i)
+                s.sample(static_cast<double>(i % 37));
+        } else {
+            s.set(next++ * 1000003);
+        }
+    };
+    forEachPerfStat(fill, r.perf);
+    forEachActivityStat(fill, r.activity);
+    ASSERT_EQ(next, 76u) << "75 counters";
+
+    const std::vector<std::uint8_t> bytes = serializeCoreResult(r);
+    Decoder dec(bytes);
+    CoreResult back;
+    ASSERT_TRUE(decodeCoreResult(dec, back));
+    EXPECT_TRUE(dec.atEnd());
+    EXPECT_EQ(back.freqGhz, r.freqGhz);
+    int stats = 0;
+    const auto same = [&stats](const char *name, const auto &a,
+                               const auto &b) {
+        ++stats;
+        if constexpr (std::is_same_v<std::decay_t<decltype(a)>,
+                                     Histogram>) {
+            EXPECT_EQ(a.buckets(), b.buckets()) << name;
+            EXPECT_EQ(a.count(), b.count()) << name;
+            EXPECT_EQ(a.sum(), b.sum()) << name;
+            EXPECT_EQ(a.min(), b.min()) << name;
+            EXPECT_EQ(a.max(), b.max()) << name;
+            EXPECT_EQ(a.lo(), b.lo()) << name;
+            EXPECT_EQ(a.hi(), b.hi()) << name;
+        } else {
+            EXPECT_EQ(a.value(), b.value()) << name;
+        }
+    };
+    forEachPerfStat(same, r.perf, back.perf);
+    forEachActivityStat(same, r.activity, back.activity);
+    EXPECT_EQ(stats, 76);
 }
 
 TEST(SerializeTest, TruncatedCoreResultFailsDecode)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel execution layer: thread-pool determinism,
- * the memoizing CoreResult cache, red-black SOR equivalence, and the
- * transient-sampling regression (no duplicated final sample).
+ * the memoizing CoreResult cache, multigrid bit-identity across thread
+ * counts, and the transient-sampling regression (no duplicated final
+ * sample).
  */
 
 #include <gtest/gtest.h>
@@ -203,46 +204,6 @@ TEST_F(ParallelExperimentsTest, FiguresShareCachedRuns)
     // Fig 10's three configs all hit (Base/3D from Fig 8, 3D-noTH
     // from Fig 9): no new simulations at all.
     EXPECT_EQ(after10.misses, after9.misses);
-}
-
-TEST(RedBlackSor, MatchesLexicographicField)
-{
-    ThermalParams p;
-    p.gridN = 24;
-    p.maxResidualK = 1e-6; // tight so both orderings converge hard
-    ThermalParams prb = p;
-    prb.sorOrdering = SorOrdering::RedBlack;
-
-    const auto stack = HotspotModel::stackedStack();
-    ThermalGrid lex(p, stack, 6.0, 6.0);
-    ThermalGrid rb(prb, stack, 6.0, 6.0);
-    for (int d = 0; d < kNumDies; ++d) {
-        lex.addPower(d, 1.0, 1.0, 3.0, 3.0, 10.0);
-        rb.addPower(d, 1.0, 1.0, 3.0, 3.0, 10.0);
-    }
-
-    const ThermalField fl = lex.solve();
-    const ThermalField fr = rb.solve();
-    for (int l = 0; l < fl.layers(); ++l)
-        for (int iy = 0; iy < p.gridN; ++iy)
-            for (int ix = 0; ix < p.gridN; ++ix)
-                EXPECT_NEAR(fl.at(l, ix, iy), fr.at(l, ix, iy), 1e-3)
-                    << "layer " << l << " (" << ix << "," << iy << ")";
-    EXPECT_NEAR(fl.peak(lex.dieLayers()), fr.peak(rb.dieLayers()),
-                1e-3);
-}
-
-TEST(RedBlackSor, SolveStatsReported)
-{
-    ThermalParams p;
-    p.gridN = 16;
-    p.sorOrdering = SorOrdering::RedBlack;
-    ThermalGrid grid(p, HotspotModel::planarStack(), 6.0, 6.0);
-    grid.addPower(0, 0.0, 0.0, 6.0, 6.0, 30.0);
-    ThermalGrid::SolveStats stats;
-    grid.solve(&stats);
-    EXPECT_GT(stats.iterations, 1);
-    EXPECT_LT(stats.residualK, p.maxResidualK);
 }
 
 /** Solve one multigrid steady state at a given global-pool size. */

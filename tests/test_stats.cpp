@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/stats.h"
 
 namespace th {
@@ -73,34 +71,6 @@ TEST(Histogram, Reset)
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(StatRegistry, LookupAndNames)
-{
-    StatRegistry reg;
-    Counter a, b;
-    a.inc(3);
-    b.inc(7);
-    reg.registerCounter("core.a", &a);
-    reg.registerCounter("core.b", &b);
-    EXPECT_TRUE(reg.hasCounter("core.a"));
-    EXPECT_FALSE(reg.hasCounter("core.c"));
-    EXPECT_EQ(reg.counterValue("core.b"), 7u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-    const auto names = reg.counterNames();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "core.a");
-}
-
-TEST(StatRegistry, DumpFormat)
-{
-    StatRegistry reg;
-    Counter a;
-    a.inc(9);
-    reg.registerCounter("x", &a);
-    std::ostringstream os;
-    reg.dump(os);
-    EXPECT_EQ(os.str(), "x 9\n");
 }
 
 TEST(Geomean, KnownValues)

@@ -1,15 +1,19 @@
-// Fixture: encode covers both fields, decode drops 'loads'.
+// Fixture: encode covers both fields, decode drops 'peakK'.
 namespace th {
 
-void encodePerfStats(Writer &w, const PerfStats &s)
+void encodeDtmReport(Encoder &enc, const DtmReport &rep)
 {
-    w.u64(s.cycles);
-    w.u64(s.loads);
+    for (const DtmIntervalSample &s : rep.intervals) {
+        enc.f64(s.timeS);
+        enc.f64(s.peakK);
+    }
 }
 
-void decodePerfStats(Reader &r, PerfStats &s)
+bool decodeDtmReport(Decoder &dec, DtmReport &rep)
 {
-    s.cycles = r.u64();
+    for (DtmIntervalSample &s : rep.intervals)
+        s.timeS = dec.f64();
+    return true;
 }
 
 } // namespace th

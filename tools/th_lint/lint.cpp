@@ -45,13 +45,13 @@ coverageRules()
         {"DtmTriggers", "src/dtm/policy.h",
          {{"dtmConfigHash", "src/sim/configs.cpp"}},
          "hash-coverage"},
+        // The stats codec, the interval counter zip and the --stats
+        // dump all walk these two lists.
         {"PerfStats", "src/core/activity.h",
-         {{"encodePerfStats", "src/io/serialize.cpp"},
-          {"decodePerfStats", "src/io/serialize.cpp"}},
+         {{"forEachPerfStat", "src/core/activity.h"}},
          "serializer-coverage"},
         {"ActivityStats", "src/core/activity.h",
-         {{"encodeActivityStats", "src/io/serialize.cpp"},
-          {"decodeActivityStats", "src/io/serialize.cpp"}},
+         {{"forEachActivityStat", "src/core/activity.h"}},
          "serializer-coverage"},
         {"CoreResult", "src/core/pipeline.h",
          {{"encodeCoreResult", "src/io/serialize.cpp"},
