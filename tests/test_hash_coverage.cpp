@@ -2,7 +2,8 @@
  * @file
  * Perturbation tests of the artifact-store cache keys: every CoreConfig
  * and DtmOptions field must actually move configHash / dtmConfigHash
- * when it changes. tools/th_lint statically proves each field is
+ * when it changes, and the derived keys (intervalFamilyHash,
+ * multicoreConfigHash) must move with every field they fold. tools/th_lint statically proves each field is
  * *referenced* by the hash function; these tests prove the reference is
  * *effective* (folded into the digest, not e.g. dead code) — together
  * they close the stale-cache-artifact hole from both sides.
@@ -179,6 +180,52 @@ TEST(HashCoverage, EveryDtmOptionsFieldPerturbsDtmConfigHash)
         const std::uint64_t h = dtmConfigHash(cfg, o);
         EXPECT_NE(h, base_hash)
             << "dtmConfigHash ignores DtmOptions field " << m.field;
+        EXPECT_TRUE(seen.insert(h).second)
+            << "perturbing " << m.field
+            << " collides with an earlier perturbation";
+    }
+}
+
+TEST(HashCoverage, EveryNonRetargetedFieldPerturbsIntervalFamilyHash)
+{
+    // Replay retargets these six axes analytically, so one fitted
+    // model serves them all; every other field keys its own family.
+    const std::set<std::string> retargeted = {
+        "freqGhz",    "stacked",     "fetchWidth",
+        "decodeWidth", "issueWidth", "commitWidth"};
+    const CoreConfig base;
+    const std::uint64_t base_hash = intervalFamilyHash(base);
+    std::set<std::uint64_t> seen{base_hash};
+    for (const CfgMutator &m : coreConfigMutators()) {
+        CoreConfig cfg;
+        m.apply(cfg);
+        const std::uint64_t h = intervalFamilyHash(cfg);
+        if (retargeted.count(m.field) != 0) {
+            EXPECT_EQ(h, base_hash)
+                << "intervalFamilyHash folds retargeted field "
+                << m.field;
+            continue;
+        }
+        EXPECT_NE(h, base_hash)
+            << "intervalFamilyHash ignores CoreConfig field " << m.field;
+        EXPECT_TRUE(seen.insert(h).second)
+            << "perturbing " << m.field
+            << " collides with an earlier perturbation";
+    }
+}
+
+TEST(HashCoverage, EveryDtmOptionsFieldPerturbsMulticoreConfigHash)
+{
+    const CoreConfig cfg;
+    const MulticoreConfig base;
+    const std::uint64_t base_hash = multicoreConfigHash(cfg, base);
+    std::set<std::uint64_t> seen{base_hash};
+    for (const DtmMutator &m : dtmOptionsMutators()) {
+        MulticoreConfig mc;
+        m.apply(mc.dtm);
+        const std::uint64_t h = multicoreConfigHash(cfg, mc);
+        EXPECT_NE(h, base_hash)
+            << "multicoreConfigHash ignores DtmOptions field " << m.field;
         EXPECT_TRUE(seen.insert(h).second)
             << "perturbing " << m.field
             << " collides with an earlier perturbation";
