@@ -128,6 +128,78 @@ struct CoreConfig
     }
 };
 
+/**
+ * Call fn(name, c.field...) once per CoreConfig simulation input,
+ * passing the same member of every argument, in store-key order. This
+ * is the one list of CoreConfig's inputs: configHash and
+ * intervalFamilyHash (sim/configs.cpp) fold it, so a field added to
+ * the struct and to this list keys every store artifact. `name` is
+ * absent on purpose: it is a display label. Changing the order or the
+ * set changes every store key, so it must bump kStoreSchemaVersion and
+ * update the golden table in tests/test_configs.cpp.
+ */
+template <class Fn, class... Cfgs>
+void
+forEachConfigField(Fn &&fn, Cfgs &&...c)
+{
+    fn("fetchWidth", c.fetchWidth...);
+    fn("decodeWidth", c.decodeWidth...);
+    fn("commitWidth", c.commitWidth...);
+    fn("issueWidth", c.issueWidth...);
+    fn("ifqSize", c.ifqSize...);
+    fn("robSize", c.robSize...);
+    fn("rsSize", c.rsSize...);
+    fn("lqSize", c.lqSize...);
+    fn("sqSize", c.sqSize...);
+    fn("numIntAlu", c.numIntAlu...);
+    fn("numIntShift", c.numIntShift...);
+    fn("numIntMult", c.numIntMult...);
+    fn("numFpAdd", c.numFpAdd...);
+    fn("numFpMult", c.numFpMult...);
+    fn("numFpDiv", c.numFpDiv...);
+    fn("numLoadPorts", c.numLoadPorts...);
+    fn("numStorePorts", c.numStorePorts...);
+    fn("il1Bytes", c.il1Bytes...);
+    fn("il1Assoc", c.il1Assoc...);
+    fn("il1LineBytes", c.il1LineBytes...);
+    fn("dl1Bytes", c.dl1Bytes...);
+    fn("dl1Assoc", c.dl1Assoc...);
+    fn("dl1LineBytes", c.dl1LineBytes...);
+    fn("l2Bytes", c.l2Bytes...);
+    fn("l2Assoc", c.l2Assoc...);
+    fn("l2LineBytes", c.l2LineBytes...);
+    fn("il1Cycles", c.il1Cycles...);
+    fn("dl1Cycles", c.dl1Cycles...);
+    fn("itlbEntries", c.itlbEntries...);
+    fn("itlbAssoc", c.itlbAssoc...);
+    fn("dtlbEntries", c.dtlbEntries...);
+    fn("dtlbAssoc", c.dtlbAssoc...);
+    fn("tlbMissCycles", c.tlbMissCycles...);
+    fn("bimodalEntries", c.bimodalEntries...);
+    fn("localHistEntries", c.localHistEntries...);
+    fn("localHistBits", c.localHistBits...);
+    fn("localCounterEntries", c.localCounterEntries...);
+    fn("globalHistBits", c.globalHistBits...);
+    fn("chooserEntries", c.chooserEntries...);
+    fn("btbEntries", c.btbEntries...);
+    fn("btbAssoc", c.btbAssoc...);
+    fn("ibtbEntries", c.ibtbEntries...);
+    fn("ibtbAssoc", c.ibtbAssoc...);
+    fn("freqGhz", c.freqGhz...);
+    fn("memLatencyNs", c.memLatencyNs...);
+    fn("maxOutstandingMisses", c.maxOutstandingMisses...);
+    fn("frontendDepth", c.frontendDepth...);
+    fn("thermalHerding", c.thermalHerding...);
+    fn("pipeOpts", c.pipeOpts...);
+    fn("stacked", c.stacked...);
+    fn("schedAlloc", c.schedAlloc...);
+    fn("pamEnabled", c.pamEnabled...);
+    fn("pveEnabled", c.pveEnabled...);
+    fn("btbMemoEnabled", c.btbMemoEnabled...);
+    fn("widthPredEntries", c.widthPredEntries...);
+    fn("widthPredKind", c.widthPredKind...);
+}
+
 /** Functional unit execution latencies (cycles). */
 struct FuLatencies
 {

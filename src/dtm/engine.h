@@ -70,6 +70,31 @@ struct DtmOptions
     SolverKind solver = SolverKind::Sor;
 };
 
+/**
+ * Call fn(name, o.knob...) once per DtmOptions knob (the DtmTriggers
+ * members under "triggers."), passing the same member of every
+ * argument, in store-key order. This is the one list of DTM inputs:
+ * dtmConfigHash and multicoreConfigHash (sim/configs.cpp) fold it.
+ * Changing the order or the set changes both keys, so it must bump
+ * kDtmReportSchemaVersion and kMulticoreReportSchemaVersion and update
+ * the golden table in tests/test_configs.cpp.
+ */
+template <class Fn, class... Opts>
+void
+forEachDtmOption(Fn &&fn, Opts &&...o)
+{
+    fn("intervalCycles", o.intervalCycles...);
+    fn("maxIntervals", o.maxIntervals...);
+    fn("warmupInstructions", o.warmupInstructions...);
+    fn("policy", o.policy...);
+    fn("triggers.triggerK", o.triggers.triggerK...);
+    fn("triggers.hysteresisK", o.triggers.hysteresisK...);
+    fn("timeDilation", o.timeDilation...);
+    fn("gridN", o.gridN...);
+    fn("maxDtS", o.maxDtS...);
+    fn("solver", o.solver...);
+}
+
 /** One control interval of a DTM run. */
 struct DtmIntervalSample
 {

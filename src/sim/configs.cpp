@@ -1,6 +1,9 @@
 #include "sim/configs.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <type_traits>
 
 #include "common/log.h"
 #include "io/serialize.h"
@@ -30,6 +33,19 @@ struct Hasher
         std::uint64_t bits;
         std::memcpy(&bits, &v, sizeof(bits));
         add(bits);
+    }
+    template <class E>
+        requires std::is_enum_v<E>
+    void add(E v)
+    {
+        add(static_cast<int>(v));
+    }
+
+    /** Visitor of forEachConfigField / forEachDtmOption. */
+    template <class T>
+    void operator()(const char *, const T &v)
+    {
+        add(v);
     }
 };
 
@@ -108,65 +124,10 @@ makeConfig(ConfigKind kind, const BlockLibrary &lib)
 std::uint64_t
 configHash(const CoreConfig &cfg)
 {
+    // The display name is deliberately not in the list: it never
+    // affects the simulation, and ablation variants share the base name.
     Hasher h;
-    // The display name is deliberately excluded: it never affects the
-    // simulation, and ablation variants share the base name.
-    h.add(cfg.fetchWidth);
-    h.add(cfg.decodeWidth);
-    h.add(cfg.commitWidth);
-    h.add(cfg.issueWidth);
-    h.add(cfg.ifqSize);
-    h.add(cfg.robSize);
-    h.add(cfg.rsSize);
-    h.add(cfg.lqSize);
-    h.add(cfg.sqSize);
-    h.add(cfg.numIntAlu);
-    h.add(cfg.numIntShift);
-    h.add(cfg.numIntMult);
-    h.add(cfg.numFpAdd);
-    h.add(cfg.numFpMult);
-    h.add(cfg.numFpDiv);
-    h.add(cfg.numLoadPorts);
-    h.add(cfg.numStorePorts);
-    h.add(cfg.il1Bytes);
-    h.add(cfg.il1Assoc);
-    h.add(cfg.il1LineBytes);
-    h.add(cfg.dl1Bytes);
-    h.add(cfg.dl1Assoc);
-    h.add(cfg.dl1LineBytes);
-    h.add(cfg.l2Bytes);
-    h.add(cfg.l2Assoc);
-    h.add(cfg.l2LineBytes);
-    h.add(cfg.il1Cycles);
-    h.add(cfg.dl1Cycles);
-    h.add(cfg.itlbEntries);
-    h.add(cfg.itlbAssoc);
-    h.add(cfg.dtlbEntries);
-    h.add(cfg.dtlbAssoc);
-    h.add(cfg.tlbMissCycles);
-    h.add(cfg.bimodalEntries);
-    h.add(cfg.localHistEntries);
-    h.add(cfg.localHistBits);
-    h.add(cfg.localCounterEntries);
-    h.add(cfg.globalHistBits);
-    h.add(cfg.chooserEntries);
-    h.add(cfg.btbEntries);
-    h.add(cfg.btbAssoc);
-    h.add(cfg.ibtbEntries);
-    h.add(cfg.ibtbAssoc);
-    h.add(cfg.freqGhz);
-    h.add(cfg.memLatencyNs);
-    h.add(cfg.maxOutstandingMisses);
-    h.add(cfg.frontendDepth);
-    h.add(cfg.thermalHerding);
-    h.add(cfg.pipeOpts);
-    h.add(cfg.stacked);
-    h.add(static_cast<int>(cfg.schedAlloc));
-    h.add(cfg.pamEnabled);
-    h.add(cfg.pveEnabled);
-    h.add(cfg.btbMemoEnabled);
-    h.add(cfg.widthPredEntries);
-    h.add(static_cast<int>(cfg.widthPredKind));
+    forEachConfigField(h, cfg);
     return h.h;
 }
 
@@ -176,76 +137,26 @@ dtmConfigHash(const CoreConfig &cfg, const DtmOptions &opts)
     Hasher h;
     h.add(configHash(cfg));
     h.add(static_cast<std::uint64_t>(kDtmReportSchemaVersion));
-    h.add(opts.intervalCycles);
-    h.add(opts.maxIntervals);
-    h.add(opts.warmupInstructions);
-    h.add(static_cast<int>(opts.policy));
-    h.add(opts.triggers.triggerK);
-    h.add(opts.triggers.hysteresisK);
-    h.add(opts.timeDilation);
-    h.add(opts.gridN);
-    h.add(opts.maxDtS);
-    h.add(static_cast<int>(opts.solver));
+    forEachDtmOption(h, opts);
     return h.h;
 }
 
 std::uint64_t
 intervalFamilyHash(const CoreConfig &cfg)
 {
-    // configHash's field list minus the replay-retargeted axes:
-    // freqGhz, stacked, fetchWidth, decodeWidth, issueWidth,
-    // commitWidth. Keep the two lists in sync when CoreConfig grows.
+    // configHash's list minus the axes replay retargets analytically.
+    const void *const retargeted[] = {&cfg.fetchWidth,  &cfg.decodeWidth,
+                                      &cfg.commitWidth, &cfg.issueWidth,
+                                      &cfg.freqGhz,     &cfg.stacked};
     Hasher h;
-    h.add(cfg.ifqSize);
-    h.add(cfg.robSize);
-    h.add(cfg.rsSize);
-    h.add(cfg.lqSize);
-    h.add(cfg.sqSize);
-    h.add(cfg.numIntAlu);
-    h.add(cfg.numIntShift);
-    h.add(cfg.numIntMult);
-    h.add(cfg.numFpAdd);
-    h.add(cfg.numFpMult);
-    h.add(cfg.numFpDiv);
-    h.add(cfg.numLoadPorts);
-    h.add(cfg.numStorePorts);
-    h.add(cfg.il1Bytes);
-    h.add(cfg.il1Assoc);
-    h.add(cfg.il1LineBytes);
-    h.add(cfg.dl1Bytes);
-    h.add(cfg.dl1Assoc);
-    h.add(cfg.dl1LineBytes);
-    h.add(cfg.l2Bytes);
-    h.add(cfg.l2Assoc);
-    h.add(cfg.l2LineBytes);
-    h.add(cfg.il1Cycles);
-    h.add(cfg.dl1Cycles);
-    h.add(cfg.itlbEntries);
-    h.add(cfg.itlbAssoc);
-    h.add(cfg.dtlbEntries);
-    h.add(cfg.dtlbAssoc);
-    h.add(cfg.tlbMissCycles);
-    h.add(cfg.bimodalEntries);
-    h.add(cfg.localHistEntries);
-    h.add(cfg.localHistBits);
-    h.add(cfg.localCounterEntries);
-    h.add(cfg.globalHistBits);
-    h.add(cfg.chooserEntries);
-    h.add(cfg.btbEntries);
-    h.add(cfg.btbAssoc);
-    h.add(cfg.ibtbEntries);
-    h.add(cfg.ibtbAssoc);
-    h.add(cfg.memLatencyNs);
-    h.add(cfg.maxOutstandingMisses);
-    h.add(cfg.frontendDepth);
-    h.add(cfg.thermalHerding);
-    h.add(cfg.pipeOpts);
-    h.add(static_cast<int>(cfg.schedAlloc));
-    h.add(cfg.pamEnabled);
-    h.add(cfg.pveEnabled);
-    h.add(cfg.btbMemoEnabled);
-    h.add(cfg.widthPredEntries);
-    h.add(static_cast<int>(cfg.widthPredKind));
+    forEachConfigField(
+        [&](const char *, const auto &v) {
+            const void *field = &v;
+            if (std::find(std::begin(retargeted), std::end(retargeted),
+                          field) == std::end(retargeted))
+                h.add(v);
+        },
+        cfg);
     return h.h;
 }
 
@@ -279,17 +190,8 @@ multicoreConfigHash(const CoreConfig &cfg, const MulticoreConfig &mc)
         h.add(static_cast<std::uint64_t>(b.size()));
         h.bytes(b.data(), b.size());
     }
-    // Embedded per-core DTM knobs: same set dtmConfigHash folds.
-    h.add(mc.dtm.intervalCycles);
-    h.add(mc.dtm.maxIntervals);
-    h.add(mc.dtm.warmupInstructions);
-    h.add(static_cast<int>(mc.dtm.policy));
-    h.add(mc.dtm.triggers.triggerK);
-    h.add(mc.dtm.triggers.hysteresisK);
-    h.add(mc.dtm.timeDilation);
-    h.add(mc.dtm.gridN);
-    h.add(mc.dtm.maxDtS);
-    h.add(static_cast<int>(mc.dtm.solver));
+    // Embedded per-core DTM knobs: the list dtmConfigHash folds.
+    forEachDtmOption(h, mc.dtm);
     return h.h;
 }
 

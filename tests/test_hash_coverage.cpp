@@ -141,6 +141,29 @@ dtmOptionsMutators()
     };
 }
 
+TEST(HashCoverage, MutatorsFollowTheFieldLists)
+{
+    // The mutator tables are hand-kept; tie them to the one list of
+    // each struct (core/params.h, dtm/engine.h) so a listed field
+    // without a perturbation fails here.
+    std::vector<std::string> listed, mutated;
+    forEachConfigField(
+        [&](const char *name, const auto &) { listed.push_back(name); },
+        CoreConfig{});
+    for (const CfgMutator &m : coreConfigMutators())
+        mutated.push_back(m.field);
+    EXPECT_EQ(listed, mutated);
+
+    listed.clear();
+    mutated.clear();
+    forEachDtmOption(
+        [&](const char *name, const auto &) { listed.push_back(name); },
+        DtmOptions{});
+    for (const DtmMutator &m : dtmOptionsMutators())
+        mutated.push_back(m.field);
+    EXPECT_EQ(listed, mutated);
+}
+
 TEST(HashCoverage, EveryCoreConfigFieldPerturbsConfigHash)
 {
     const CoreConfig base;

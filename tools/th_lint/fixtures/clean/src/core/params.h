@@ -9,4 +9,13 @@ struct CoreConfig
     int decorativeTag = 0;
 };
 
+// Lists every non-excluded CoreConfig field.
+template <class Fn, class... Cfgs>
+void
+forEachConfigField(Fn &&fn, Cfgs &&...c)
+{
+    fn("fetchWidth", c.fetchWidth...);
+    fn("robSize", c.robSize...);
+}
+
 } // namespace th

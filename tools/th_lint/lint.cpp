@@ -36,14 +36,16 @@ coverageRules()
     // moves, update this table — in normal mode a stale entry is a
     // diagnostic, never a silently skipped check.
     static const std::vector<CoverageRule> rules = {
+        // configHash and intervalFamilyHash fold the CoreConfig list;
+        // dtmConfigHash and multicoreConfigHash fold the DTM one.
         {"CoreConfig", "src/core/params.h",
-         {{"configHash", "src/sim/configs.cpp"}},
+         {{"forEachConfigField", "src/core/params.h"}},
          "hash-coverage"},
         {"DtmOptions", "src/dtm/engine.h",
-         {{"dtmConfigHash", "src/sim/configs.cpp"}},
+         {{"forEachDtmOption", "src/dtm/engine.h"}},
          "hash-coverage"},
         {"DtmTriggers", "src/dtm/policy.h",
-         {{"dtmConfigHash", "src/sim/configs.cpp"}},
+         {{"forEachDtmOption", "src/dtm/engine.h"}},
          "hash-coverage"},
         // The stats codec, the interval counter zip and the --stats
         // dump all walk these two lists.
