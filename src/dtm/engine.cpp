@@ -76,7 +76,7 @@ DtmEngine::run(IntervalSource &src, const std::string &benchmark,
         fatal("DTM engine needs a calibrated power model");
     if (opts.intervalCycles == 0 || opts.maxIntervals < 1)
         fatal("DTM needs a positive interval length and count");
-    if (opts.gridN < 4)
+    if (opts.gridN < kMinDtmGridN)
         fatal("DTM thermal grid too coarse (gridN %d)", opts.gridN);
 
     const Floorplan &fp = cfg.stacked ? stacked_ : planar_;

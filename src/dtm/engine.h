@@ -36,6 +36,13 @@
 
 namespace th {
 
+/**
+ * Coarsest thermal grid the closed-loop engines accept (DtmEngine and
+ * MulticoreSystem). Request validation rejects anything below it, so
+ * a served request never reaches the engines' fatal() check.
+ */
+inline constexpr int kMinDtmGridN = 4;
+
 /** Knobs of one DTM run. */
 struct DtmOptions
 {

@@ -120,7 +120,7 @@ MulticoreSystem::run(const std::vector<BenchmarkProfile> &profiles,
     const DtmOptions &opts = mc.dtm;
     if (opts.intervalCycles == 0 || opts.maxIntervals < 1)
         fatal("multicore DTM needs a positive interval length and count");
-    if (opts.gridN < 4)
+    if (opts.gridN < kMinDtmGridN)
         fatal("multicore thermal grid too coarse (gridN %d)", opts.gridN);
 
     const Floorplan fp =

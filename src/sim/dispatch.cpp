@@ -110,6 +110,15 @@ validateRequest(const SimRequest &req, const SimOptions &window,
                   " out of range (max " + std::to_string(INT_MAX) + ")";
             return false;
         }
+        // 0 selects the default grid; 1..3 would reach the engines'
+        // fatal() gridN check and take a server down with it.
+        if (req.dtmGridN != 0 &&
+            req.dtmGridN < static_cast<std::uint32_t>(kMinDtmGridN)) {
+            err = "dtmGridN " + std::to_string(req.dtmGridN) +
+                  " too coarse (min " + std::to_string(kMinDtmGridN) +
+                  ")";
+            return false;
+        }
     }
     if (req.fastPath > 1) {
         err = "fastPath must be 0 or 1";

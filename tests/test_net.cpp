@@ -420,6 +420,28 @@ TEST(NetTest, HostileDtmKnobsAreRejectedNotWrapped)
     EXPECT_NE(rsp.error.find("out of range"), std::string::npos)
         << rsp.error;
 
+    // A grid coarser than the engines accept used to pass validation
+    // and reach the gridN check in DtmEngine::run or
+    // MulticoreSystem::run, whose fatal() exits the whole server. Both
+    // kinds that carry the knob must reject it structurally. The 1 ms
+    // deadline keeps an admitted request from parking on the paused
+    // pool, so a regression fails here instead of hanging.
+    for (const SimRequestKind kind :
+         {SimRequestKind::Dtm, SimRequestKind::Multicore}) {
+        SimRequest coarse;
+        coarse.kind = kind;
+        coarse.dtmGridN = 3;
+        coarse.deadlineMs = 1;
+        ASSERT_TRUE(client.call(coarse, rsp, err)) << err;
+        EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
+        EXPECT_NE(rsp.error.find("dtmGridN"), std::string::npos)
+            << rsp.error;
+    }
+    SimRequest ping;
+    ping.kind = SimRequestKind::Ping;
+    ASSERT_TRUE(client.call(ping, rsp, err)) << err;
+    EXPECT_EQ(rsp.status, SimStatus::Ok);
+
     // Nothing hostile reached the worker pool.
     EXPECT_EQ(server.metrics().simulationsRun(), 0u);
 
