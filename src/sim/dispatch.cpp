@@ -157,12 +157,16 @@ runRequest(System &sys, const SimRequest &req, const CancelToken *cancel)
 {
     SimResponse rsp;
     switch (req.kind) {
-    case SimRequestKind::Fig8:
-        rsp.text = renderFig8(runFigure8(sys, req.benchmarks, cancel));
+    case SimRequestKind::Fig8: {
+        const Fig8Data data = runFigure8(sys, req.benchmarks, cancel);
+        rsp.text = renderFig8(data) + renderFig8Detail(data);
         break;
-    case SimRequestKind::Fig9:
-        rsp.text = renderFig9(runFigure9(sys, req.benchmarks, cancel));
+    }
+    case SimRequestKind::Fig9: {
+        const Fig9Data data = runFigure9(sys, req.benchmarks, cancel);
+        rsp.text = renderFig9(data) + renderFig9Detail(data);
         break;
+    }
     case SimRequestKind::Fig10:
         rsp.text = renderFig10(runFigure10(sys, req.benchmarks, cancel));
         break;

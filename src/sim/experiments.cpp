@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -314,6 +315,62 @@ runWidthStudy(System &sys, const std::vector<std::string> &benchmarks,
         acc_sum += row.accuracy;
     data.overallAccuracy = data.rows.empty()
         ? 0.0 : acc_sum / static_cast<double>(data.rows.size());
+    return data;
+}
+
+namespace {
+
+/** One ablation variant: a name and its edit of the 3D config. */
+struct AblationVariant
+{
+    const char *name;
+    void (*tweak)(CoreConfig &);
+};
+
+const AblationVariant kAblationVariants[] = {
+    {"full 3D (all mechanisms)", [](CoreConfig &) {}},
+    {"scheduler alloc: round-robin",
+     [](CoreConfig &c) { c.schedAlloc = SchedAllocPolicy::RoundRobin; }},
+    {"PAM disabled", [](CoreConfig &c) { c.pamEnabled = false; }},
+    {"PVE 1-bit (zeros only)", [](CoreConfig &c) { c.pveEnabled = false; }},
+    {"BTB memoization disabled",
+     [](CoreConfig &c) { c.btbMemoEnabled = false; }},
+    {"width predictor: last-outcome",
+     [](CoreConfig &c) { c.widthPredKind = WidthPredKind::LastOutcome; }},
+    {"width predictor: oracle (upper bound)",
+     [](CoreConfig &c) { c.widthPredKind = WidthPredKind::Oracle; }},
+    {"width predictor: always-full",
+     [](CoreConfig &c) { c.widthPredKind = WidthPredKind::AlwaysFull; }},
+    {"width prediction disabled (no herding)",
+     [](CoreConfig &c) { c.thermalHerding = false; }},
+};
+
+} // namespace
+
+AblationData
+runAblation(System &sys, const std::vector<std::string> &apps,
+            const CancelToken *cancel)
+{
+    AblationData data;
+    data.apps = apps.empty()
+        ? std::vector<std::string>{"mpeg2enc", "gzip", "yacr2"}
+        : apps;
+    const size_t nvar = std::size(kAblationVariants);
+    data.rows = ThreadPool::global().parallelMap(
+        data.apps.size() * nvar, [&](size_t i) {
+            const AblationVariant &v = kAblationVariants[i % nvar];
+            CoreConfig cfg = makeConfig(ConfigKind::ThreeD, sys.circuits());
+            v.tweak(cfg);
+            const CoreResult run =
+                sys.runCore(data.apps[i / nvar], cfg, cancel);
+            const PowerResult power = sys.power().compute(run, cfg);
+            AblationRow row;
+            row.variant = v.name;
+            row.ipc = run.perf.ipc();
+            row.totalW = power.totalW();
+            row.topDieFrac = power.topDieFraction();
+            return row;
+        });
     return data;
 }
 

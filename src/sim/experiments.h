@@ -1,8 +1,9 @@
 /**
  * @file
  * Paper-experiment harnesses: one entry point per table/figure of the
- * evaluation section. The bench binaries print these; integration
- * tests assert tolerance bands around the anchors in paper_targets.h.
+ * evaluation section. th_run prints them through the renderers in
+ * sim/report.h; integration tests assert tolerance bands around the
+ * anchors in paper_targets.h.
  */
 
 #ifndef TH_SIM_EXPERIMENTS_H
@@ -162,6 +163,37 @@ struct WidthStudyData
 WidthStudyData runWidthStudy(System &sys,
                              const std::vector<std::string> &benchmarks = {},
                              const CancelToken *cancel = nullptr);
+
+/** One ablation variant of the full 3D configuration on one app. */
+struct AblationRow
+{
+    std::string variant;
+    double ipc = 0.0;
+    double totalW = 0.0;
+    /** Top die's share of dynamic power (the herding signal). */
+    double topDieFrac = 0.0;
+};
+
+/** Everything behind the per-mechanism ablation (DESIGN.md §4). */
+struct AblationData
+{
+    std::vector<std::string> apps;
+    /** App-major, the same variants for every app: the full 3D
+     *  configuration first, then one row per disabled mechanism. */
+    std::vector<AblationRow> rows;
+};
+
+/**
+ * Ablation study: starting from the full 3D configuration, disable
+ * each Thermal Herding mechanism in turn (scheduler allocation, PAM,
+ * PVE, BTB memoization, the width predictor's kind, herding itself)
+ * and measure IPC, chip power and the top die's dynamic share on each
+ * of @p apps (empty = mpeg2enc, gzip, yacr2). Every run goes through
+ * System::runCore, so the memo cache and the store apply.
+ */
+AblationData runAblation(System &sys,
+                         const std::vector<std::string> &apps = {},
+                         const CancelToken *cancel = nullptr);
 
 /** One configuration's closed-loop DTM outcome. */
 struct DtmCase

@@ -6,8 +6,71 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "dtm/policy.h"
+#include "sim/paper_targets.h"
 
 namespace th {
+
+namespace {
+
+/**
+ * One paper anchor: "anchor <what>: <measured> (paper <published>)".
+ * tests/paper_anchors.txt snapshots these lines, so their shape is
+ * load-bearing.
+ */
+std::string
+anchorLine(const std::string &what, const std::string &measured,
+           const std::string &published)
+{
+    return strformat("anchor %s: %s (paper %s)\n", what.c_str(),
+                     measured.c_str(), published.c_str());
+}
+
+/** "367.5 K, +7.7 K": a peak and its rise over @p base_k. */
+std::string
+peakAndRise(double peak_k, double base_k)
+{
+    return strformat("%s K, %+.1f K", fmtDouble(peak_k, 1).c_str(),
+                     peak_k - base_k);
+}
+
+} // namespace
+
+std::string
+renderTable2(const BlockLibrary &lib)
+{
+    std::ostringstream out;
+    out << "=== Table 2: block latencies, 2D vs 3D (4-die) ===\n";
+    Table t({"Block", "2D (ps)", "3D (ps)", "Improvement", ""});
+    for (const BlockTiming &b : lib.table2())
+        t.addRow({b.name, fmtDouble(b.lat2dPs, 1), fmtDouble(b.lat3dPs, 1),
+                  fmtPercent(b.improvement()),
+                  b.critical ? "<- critical loop" : ""});
+    t.print(out);
+
+    out << "=== Clock frequency (critical-loop analysis) ===\n";
+    Table freq({"Quantity", "Measured", "Paper"});
+    freq.addRow({"2D cycle time (ps)", fmtDouble(lib.clockPeriod2dPs(), 1),
+                 fmtDouble(1000.0 / paper::kFreq2dGhz, 1)});
+    freq.addRow({"3D cycle time (ps)", fmtDouble(lib.clockPeriod3dPs(), 1),
+                 fmtDouble(1000.0 / paper::kFreq3dGhz, 1)});
+    freq.addRow({"2D frequency (GHz)", fmtDouble(lib.frequency2dGhz(), 2),
+                 fmtDouble(paper::kFreq2dGhz, 2)});
+    freq.addRow({"3D frequency (GHz)", fmtDouble(lib.frequency3dGhz(), 2),
+                 fmtDouble(paper::kFreq3dGhz, 2)});
+    freq.addRow({"Frequency gain", fmtPercent(lib.frequencyGain() - 1.0),
+                 fmtPercent(paper::kFreqGain - 1.0)});
+    freq.print(out);
+
+    out << anchorLine(
+        "table2 wakeup-select improvement",
+        fmtPercent(lib.find("Scheduler (wakeup-select)")->improvement()),
+        fmtPercent(paper::kWakeupSelectImprovement));
+    out << anchorLine(
+        "table2 ALU+bypass improvement",
+        fmtPercent(lib.find("ALU + bypass loop")->improvement()),
+        fmtPercent(paper::kAluBypassImprovement));
+    return out.str();
+}
 
 std::string
 renderFig8(const Fig8Data &data)
@@ -32,6 +95,67 @@ renderFig8(const Fig8Data &data)
 }
 
 std::string
+renderFig8Detail(const Fig8Data &data)
+{
+    std::ostringstream out;
+    out << "=== Figure 8(b): instructions per nanosecond ===\n";
+    Table ipns({"Class", "Base", "TH", "Pipe", "Fast", "3D"});
+    for (const auto &g : data.groups)
+        ipns.addRow({g.suite, fmtDouble(g.ipnsGeomean[0], 2),
+                     fmtDouble(g.ipnsGeomean[1], 2),
+                     fmtDouble(g.ipnsGeomean[2], 2),
+                     fmtDouble(g.ipnsGeomean[3], 2),
+                     fmtDouble(g.ipnsGeomean[4], 2)});
+    ipns.print(out);
+    const std::vector<ConfigKind> configs = figure8Configs();
+    out << "mean-of-means IPC:";
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        out << (c == 0 ? " " : ", ") << configName(configs[c]) << " "
+            << fmtDouble(data.ipcMeanOfMeans[c], 3);
+    out << "\n";
+
+    out << "=== Figure 8: per-benchmark speedups ===\n";
+    Table per({"Benchmark", "Suite", "IPC Base", "IPC 3D", "Speedup"});
+    for (const auto &b : data.benchmarks)
+        per.addRow({b.name, b.suite, fmtDouble(b.ipc[0], 3),
+                    fmtDouble(b.ipc[4], 3), fmtPercent(b.speedup)});
+    per.print(out);
+
+    out << anchorLine("fig8 mean speedup",
+                      fmtPercent(data.speedupMeanOfMeans),
+                      fmtPercent(paper::kMeanSpeedup));
+    out << anchorLine("fig8 min speedup",
+                      data.minBenchmark + " " + fmtPercent(data.minSpeedup),
+                      "mcf " + fmtPercent(paper::kMinSpeedup));
+    out << anchorLine("fig8 max speedup",
+                      data.maxBenchmark + " " + fmtPercent(data.maxSpeedup),
+                      "patricia " + fmtPercent(paper::kMaxSpeedup));
+    for (const auto &b : data.benchmarks)
+        if (b.name == "crafty")
+            out << anchorLine("fig8 crafty speedup", fmtPercent(b.speedup),
+                              fmtPercent(paper::kCraftySpeedup));
+    // SPECfp2000 is the paper's outlier group; the others cluster.
+    std::vector<double> non_fp;
+    for (const auto &g : data.groups) {
+        if (g.suite != "SPECfp2000")
+            non_fp.push_back(g.speedup);
+        else
+            out << anchorLine("fig8 SPECfp2000 speedup",
+                              fmtPercent(g.speedup),
+                              fmtPercent(paper::kSpecFpSpeedup));
+    }
+    if (!non_fp.empty()) {
+        const auto [lo, hi] =
+            std::minmax_element(non_fp.begin(), non_fp.end());
+        out << anchorLine("fig8 non-FP group speedups",
+                          fmtPercent(*lo) + " to " + fmtPercent(*hi),
+                          fmtPercent(paper::kNonFpGroupSpeedupLo) + " to " +
+                              fmtPercent(paper::kNonFpGroupSpeedupHi));
+    }
+    return out.str();
+}
+
+std::string
 renderFig9(const Fig9Data &data)
 {
     std::ostringstream out;
@@ -52,24 +176,151 @@ renderFig9(const Fig9Data &data)
 }
 
 std::string
+renderFig9Detail(const Fig9Data &data)
+{
+    std::ostringstream out;
+    out << strformat("=== Figure 9(a-c): dual-core %s power by block "
+                     "===\n", System::kPowerReferenceBenchmark);
+    for (const PowerBreakdown *b :
+         {&data.planar, &data.noTh3d, &data.th3d}) {
+        out << strformat("%s: total %s W (clock %s, leakage %s, dynamic "
+                         "%s)\n",
+                         b->config.c_str(), fmtDouble(b->totalW, 1).c_str(),
+                         fmtDouble(b->clockW, 1).c_str(),
+                         fmtDouble(b->leakW, 1).c_str(),
+                         fmtDouble(b->dynamicW, 1).c_str());
+        Table t({"Block", "Watts", "Share of dynamic"});
+        for (int i = 0; i < kNumCoreBlocks; ++i) {
+            const double w = b->blockW[static_cast<size_t>(i)];
+            if (w < 0.005)
+                continue;
+            t.addRow({blockName(static_cast<BlockId>(i)), fmtDouble(w, 2),
+                      fmtPercent(w / b->dynamicW)});
+        }
+        t.addRow({"L2", fmtDouble(b->l2W, 2),
+                  fmtPercent(b->l2W / b->dynamicW)});
+        t.print(out);
+    }
+
+    out << "=== Figure 9: per-application total power, Base vs 3D-TH "
+           "===\n";
+    Table t({"Benchmark", "Base (W)", "3D-TH (W)", "Saving"});
+    for (const auto &sv : data.savings)
+        t.addRow({sv.name, fmtDouble(sv.baseW, 1), fmtDouble(sv.th3dW, 1),
+                  fmtPercent(sv.saving)});
+    t.print(out);
+
+    auto watts = [](double w) { return fmtDouble(w, 1) + " W"; };
+    out << anchorLine("fig9 planar total", watts(data.planar.totalW),
+                      watts(paper::kBaselinePowerW));
+    out << anchorLine("fig9 3D-noTH total", watts(data.noTh3d.totalW),
+                      watts(paper::k3dNoThPowerW));
+    out << anchorLine("fig9 3D-TH total", watts(data.th3d.totalW),
+                      watts(paper::k3dThPowerW));
+    out << anchorLine("fig9 min saving",
+                      data.minSaving.name + " " +
+                          fmtPercent(data.minSaving.saving),
+                      "yacr2 " + fmtPercent(paper::kMinPowerSaving));
+    out << anchorLine("fig9 max saving",
+                      data.maxSaving.name + " " +
+                          fmtPercent(data.maxSaving.saving),
+                      "susan " + fmtPercent(paper::kMaxPowerSaving));
+    return out.str();
+}
+
+namespace {
+
+/** "<config> (<W> W): peak <K> K at <block> (die <d>)". */
+std::string
+thermalCaseLine(const ThermalCase &tc)
+{
+    return strformat("%s (%s W): peak %s K at %s (die %d)\n",
+                     tc.config.c_str(), fmtDouble(tc.totalW, 1).c_str(),
+                     fmtDouble(tc.report.peakK, 1).c_str(),
+                     tc.report.hottestBlock.c_str(), tc.report.hottestDie);
+}
+
+/** The @p count hottest blocks of core 0 and the L2 (the cores are
+ *  symmetric), hottest first. */
+void
+printHotBlocks(std::ostream &out, const ThermalReport &rep, int count)
+{
+    std::vector<const BlockTemp *> sorted;
+    for (const BlockTemp &b : rep.blocks)
+        if (b.core != 1)
+            sorted.push_back(&b);
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const BlockTemp *a, const BlockTemp *b) {
+                         return a->peakK > b->peakK;
+                     });
+    Table t({"Block", "Die", "Power (W)", "Avg (K)", "Peak (K)"});
+    for (int i = 0; i < count && i < static_cast<int>(sorted.size()); ++i) {
+        const BlockTemp *b = sorted[static_cast<size_t>(i)];
+        t.addRow({blockName(b->id), std::to_string(b->die),
+                  fmtDouble(b->powerW, 2), fmtDouble(b->avgK, 1),
+                  fmtDouble(b->peakK, 1)});
+    }
+    t.print(out);
+}
+
+} // namespace
+
+std::string
 renderFig10(const Fig10Data &data)
 {
     std::ostringstream out;
     out << "=== Figure 10: thermal ===\n";
-    Table t({"Case", "App", "Total W", "Peak K", "Hot block"});
+    Table t({"Case", "App", "Total W", "Peak K", "Hot block", "Die"});
     auto row = [&](const char *label, const ThermalCase &tc) {
         t.addRow({label, tc.app, fmtDouble(tc.totalW, 1),
-                  fmtDouble(tc.report.peakK, 1),
-                  tc.report.hottestBlock});
+                  fmtDouble(tc.report.peakK, 1), tc.report.hottestBlock,
+                  std::to_string(tc.report.hottestDie)});
     };
     row("worst planar", data.worstPlanar);
     row("worst 3D-noTH", data.worstNoTh3d);
     row("worst 3D-TH", data.worstTh3d);
     row("iso-power", data.isoPower);
     t.print(out);
-    out << strformat("ROB delta (3D-TH vs planar, %s): %s K\n",
-                     data.sameApp.c_str(),
-                     fmtDouble(data.robDeltaK, 2).c_str());
+
+    out << strformat("=== Figure 10(d-f): all configurations on %s ===\n",
+                     data.sameApp.c_str());
+    for (const ThermalCase *tc :
+         {&data.samePlanar, &data.sameNoTh3d, &data.sameTh3d}) {
+        out << thermalCaseLine(*tc);
+        printHotBlocks(out, tc->report, 6);
+    }
+
+    const double planar_k = data.worstPlanar.report.peakK;
+    const double inc_no_th = data.worstNoTh3d.report.peakK - planar_k;
+    const double inc_th = data.worstTh3d.report.peakK - planar_k;
+    out << anchorLine("fig10 planar peak",
+                      fmtDouble(planar_k, 1) + " K at " +
+                          data.worstPlanar.report.hottestBlock,
+                      fmtDouble(paper::kPeak2dK, 1) + " K at scheduler");
+    out << anchorLine("fig10 3D-noTH peak",
+                      peakAndRise(data.worstNoTh3d.report.peakK, planar_k),
+                      peakAndRise(paper::kPeak3dNoThK, paper::kPeak2dK));
+    out << anchorLine("fig10 3D-TH peak",
+                      peakAndRise(data.worstTh3d.report.peakK, planar_k) +
+                          " at " + data.worstTh3d.report.hottestBlock +
+                          " on " + data.worstTh3d.app,
+                      peakAndRise(paper::kPeak3dThK, paper::kPeak2dK) +
+                          " at DCache on yacr2");
+    if (inc_no_th > 0.0) {
+        const double paper_no_th = paper::kPeak3dNoThK - paper::kPeak2dK;
+        const double paper_th = paper::kPeak3dThK - paper::kPeak2dK;
+        out << anchorLine("fig10 reduction of the 3D increase",
+                          fmtPercent((inc_no_th - inc_th) / inc_no_th),
+                          fmtPercent((paper_no_th - paper_th) /
+                                     paper_no_th));
+    }
+    out << anchorLine("fig10 iso-power peak",
+                      peakAndRise(data.isoPower.report.peakK, planar_k),
+                      peakAndRise(paper::kPeakIsoPowerK, paper::kPeak2dK));
+    out << anchorLine("fig10 ROB delta (3D-TH vs planar, " + data.sameApp +
+                          ")",
+                      fmtDouble(data.robDeltaK, 2) + " K",
+                      "about " + fmtDouble(-paper::kRobCoolingK, 1) + " K");
     return out.str();
 }
 
@@ -78,10 +329,42 @@ renderWidth(const WidthStudyData &data)
 {
     std::ostringstream out;
     out << "=== Width prediction study ===\n";
-    out << strformat("width prediction overall accuracy: %s over %zu "
-                     "benchmarks\n",
-                     fmtPercent(data.overallAccuracy).c_str(),
-                     data.rows.size());
+    Table t({"Benchmark", "Accuracy", "Unsafe", "PAM hits",
+             "PVE encodable", "D$ herded", "<=16b results", "ROB lo:hi"});
+    for (const auto &row : data.rows)
+        t.addRow({row.name, fmtPercent(row.accuracy),
+                  fmtPercent(row.unsafeRate), fmtPercent(row.pamHitRate),
+                  fmtPercent(row.pveEncodable),
+                  fmtPercent(row.lowWidthFrac),
+                  fmtPercent(row.narrowResults),
+                  fmtDouble(row.robLowReadRatio, 1) + "x"});
+    t.print(out);
+    out << anchorLine(strformat("width prediction accuracy over %zu "
+                                "benchmarks",
+                                data.rows.size()),
+                      fmtPercent(data.overallAccuracy),
+                      fmtPercent(paper::kWidthAccuracy));
+    return out.str();
+}
+
+std::string
+renderAblation(const AblationData &data)
+{
+    std::ostringstream out;
+    const std::size_t per_app =
+        data.apps.empty() ? 0 : data.rows.size() / data.apps.size();
+    for (std::size_t a = 0; a < data.apps.size(); ++a) {
+        out << strformat("=== Ablation on %s (3D config) ===\n",
+                         data.apps[a].c_str());
+        Table t({"Variant", "IPC", "Total W", "Top-die dyn. share"});
+        for (std::size_t v = 0; v < per_app; ++v) {
+            const AblationRow &row = data.rows[a * per_app + v];
+            t.addRow({row.variant, fmtDouble(row.ipc, 3),
+                      fmtDouble(row.totalW, 1),
+                      fmtPercent(row.topDieFrac)});
+        }
+        t.print(out);
+    }
     return out.str();
 }
 

@@ -1,9 +1,14 @@
 /**
  * @file
  * Text renderers for the experiment results — the exact report bodies
- * th_run prints locally. th_serve renders responses through the same
+ * th_run prints locally, and the one place each paper table and
+ * figure is rendered. th_serve renders responses through the same
  * functions, which is what makes a served report byte-identical to a
  * local run of the same request (the loopback smoke test diffs them).
+ *
+ * Every paper anchor is one line "anchor <what>: <measured> (paper
+ * <published>)", its measured value beside the value in
+ * sim/paper_targets.h. tests/paper_anchors.txt snapshots these lines.
  */
 
 #ifndef TH_SIM_REPORT_H
@@ -16,17 +21,44 @@
 
 namespace th {
 
+/**
+ * Table 2: per-block 2D/3D latencies, the critical-loop clock table
+ * beside the paper's, and the two critical-loop anchors.
+ */
+std::string renderTable2(const BlockLibrary &lib);
+
 /** "=== Figure 8: performance ===" header + table + summary line. */
 std::string renderFig8(const Fig8Data &data);
+
+/**
+ * Figure 8's second section, printed after renderFig8: Fig 8(b)
+ * instructions per ns, the mean-of-means IPC, per-benchmark speedups
+ * and the speedup anchors.
+ */
+std::string renderFig8Detail(const Fig8Data &data);
 
 /** "=== Figure 9: power ===" header + table + saving range. */
 std::string renderFig9(const Fig9Data &data);
 
-/** "=== Figure 10: thermal ===" header + table + ROB delta. */
+/**
+ * Figure 9's second section, printed after renderFig9: the per-block
+ * breakdowns of Fig 9(a-c), per-application savings and the power
+ * anchors.
+ */
+std::string renderFig9Detail(const Fig9Data &data);
+
+/**
+ * "=== Figure 10: thermal ===" worst-case table, the same-app hot
+ * blocks of Fig 10(d-f), and the peak, increase, iso-power and ROB
+ * anchors.
+ */
 std::string renderFig10(const Fig10Data &data);
 
-/** "=== Width prediction study ===" header + accuracy line. */
+/** "=== Width prediction study ===" per-benchmark table + anchor. */
 std::string renderWidth(const WidthStudyData &data);
+
+/** One "=== Ablation on <app> (3D config) ===" table per app. */
+std::string renderAblation(const AblationData &data);
 
 /**
  * "=== Closed-loop DTM ... ===" header + per-config table. Fast-path

@@ -2,8 +2,10 @@
  * @file
  * Integration tests asserting tolerance bands around the paper's
  * published anchors (see paper_targets.h and EXPERIMENTS.md). These
- * run shortened simulation windows, so the bands are generous; the
- * bench binaries print the full-length numbers.
+ * run shortened simulation windows, so the bands are generous;
+ * `th_run table2|fig8|fig9|fig10|width` prints the full-length
+ * numbers, and PaperAnchors.Snapshot (tests/paper_anchors.sh) pins
+ * the printed anchor lines at a short window.
  */
 
 #include <gtest/gtest.h>

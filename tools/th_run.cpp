@@ -1,12 +1,14 @@
 /**
  * @file
  * th_run — the Thermal Herding experiment driver. One binary for
- * running the paper's figure experiments against the persistent
- * artifact store, recording and replaying .thtrace files, and
- * maintaining the store.
+ * reproducing every paper table and figure (each renderer in
+ * sim/report.h ends with its "anchor" lines, measured beside paper)
+ * against the persistent artifact store, recording and replaying
+ * .thtrace files, and maintaining the store.
  *
  * Usage:
- *   th_run fig8|fig9|fig10|width|sweep [--benchmarks a,b,c]
+ *   th_run table2
+ *   th_run fig8|fig9|fig10|width|sweep|ablation [--benchmarks a,b,c]
  *          [--insts N] [--warmup N] [--store DIR]
  *   th_run core [--benchmarks b] [--config NAME]
  *   th_run multicore [--cores N] [--banks N] [--benchmarks a,b]
@@ -32,7 +34,8 @@
  * --connect the same request goes to a th_serve server, whose workers
  * call the same runRequest. Served and local output are therefore
  * byte-identical (counter footers aside — those describe whichever
- * System did the work).
+ * System did the work). table2 and ablation, like fit, carry no
+ * SimRequest and run only locally.
  */
 
 #include <chrono>
@@ -119,8 +122,10 @@ usage(const char *msg = nullptr)
         std::fprintf(stderr, "th_run: %s\n\n", msg);
     std::fprintf(stderr,
         "usage:\n"
-        "  th_run fig8|fig9|fig10|width|sweep [--benchmarks a,b,c]\n"
-        "         [--insts N] [--warmup N] [--store DIR]\n"
+        "  th_run table2\n"
+        "  th_run fig8|fig9|fig10|width|sweep|ablation\n"
+        "         [--benchmarks a,b,c] [--insts N] [--warmup N]\n"
+        "         [--store DIR]\n"
         "  th_run trace record <benchmark> <out.thtrace> [--records N]\n"
         "  th_run trace info <file.thtrace>\n"
         "  th_run trace run <file.thtrace> [--config NAME] [--insts N]\n"
@@ -146,6 +151,9 @@ usage(const char *msg = nullptr)
         "  th_run ping|metrics --connect host:port\n"
         "  th_run --version\n"
         "\n"
+        "table2 and fig8/9/10, width and ablation print the paper's\n"
+        "tables and end with anchor lines, measured beside paper;\n"
+        "sweep runs fig8, fig9 and fig10 in turn.\n"
         "The experiment commands persist CoreResults to --store /\n"
         "TH_STORE_DIR when set; a warm re-run then skips simulation.\n"
         "th_run dtm compares closed-loop thermal throttling on the\n"
@@ -428,6 +436,31 @@ intervalOptionsOf(const Args &args)
     if (args.fitInterval > 0)
         iopts.fitIntervalCycles = args.fitInterval;
     return iopts;
+}
+
+// -------------------------------------------------------------------
+// Local paper studies that no SimRequest carries.
+// -------------------------------------------------------------------
+
+int
+cmdTable2()
+{
+    // Circuit models only: no core runs, so no System.
+    std::fputs(renderTable2(BlockLibrary{}).c_str(), stdout);
+    return 0;
+}
+
+int
+cmdAblation(const Args &args)
+{
+    const std::vector<std::string> apps = splitList(args.benchmarks);
+    for (const std::string &app : apps)
+        if (!hasBenchmark(app))
+            usage(strformat("unknown benchmark '%s'", app.c_str()).c_str());
+    System sys = makeSystem(args);
+    std::fputs(renderAblation(runAblation(sys, apps)).c_str(), stdout);
+    std::fputs(renderCounters(sys).c_str(), stdout);
+    return 0;
 }
 
 // -------------------------------------------------------------------
@@ -769,6 +802,10 @@ main(int argc, char **argv)
                         cmd.c_str()).c_str());
     if (cmd == "fit")
         return cmdFit(args);
+    if (cmd == "table2")
+        return cmdTable2();
+    if (cmd == "ablation")
+        return cmdAblation(args);
     if (cmd == "trace") {
         if (args.pos.size() < 2)
             usage("trace needs a subcommand (record, info, run)");
