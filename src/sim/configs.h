@@ -50,18 +50,19 @@ CoreConfig makeConfig(ConfigKind kind, const BlockLibrary &lib);
  * key of the System-level CoreResult cache AND of the persistent
  * artifact store (store/artifact_store.h). Two configs with equal
  * hashes are treated as the same simulation input, so any new field
- * added to CoreConfig must be folded in here. Because these hashes
- * name on-disk artifacts, any intentional change to the hashed field
- * set must bump kStoreSchemaVersion (store/artifact_store.h) and
- * update the golden-hash table in tests/test_configs.cpp.
+ * added to CoreConfig must join forEachConfigField (core/params.h),
+ * the list this folds. Because these hashes name on-disk artifacts,
+ * any intentional change to the hashed field set must bump
+ * kStoreSchemaVersion (store/artifact_store.h) and update the
+ * golden-hash table in tests/test_configs.cpp.
  */
 std::uint64_t configHash(const CoreConfig &cfg);
 
 /**
  * Store key of a DTM run: configHash(cfg) folded with every DtmOptions
- * knob (interval length/count, warm-up, policy, triggers, dilation,
- * grid) and the DtmReport schema version — two DTM runs share a
- * persisted artifact iff every input that shapes the report matches.
+ * knob (forEachDtmOption in dtm/engine.h) and the DtmReport schema
+ * version — two DTM runs share a persisted artifact iff every input
+ * that shapes the report matches.
  */
 std::uint64_t dtmConfigHash(const CoreConfig &cfg,
                             const DtmOptions &opts);
@@ -89,8 +90,8 @@ std::uint64_t intervalModelKey(const CoreConfig &cfg,
 /**
  * Store key of a many-core run: configHash(cfg) folded with every
  * MulticoreConfig field (core count, bank geometry, queue model, the
- * per-core benchmark mix, and the embedded DtmOptions via
- * dtmConfigHash's knob set) and the MulticoreReport schema version —
+ * per-core benchmark mix, and the embedded DtmOptions through
+ * forEachDtmOption) and the MulticoreReport schema version —
  * two runs share a persisted artifact iff every input that shapes the
  * report matches. th_lint enforces the MulticoreConfig field coverage.
  */

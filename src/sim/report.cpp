@@ -230,16 +230,6 @@ renderFig9Detail(const Fig9Data &data)
 
 namespace {
 
-/** "<config> (<W> W): peak <K> K at <block> (die <d>)". */
-std::string
-thermalCaseLine(const ThermalCase &tc)
-{
-    return strformat("%s (%s W): peak %s K at %s (die %d)\n",
-                     tc.config.c_str(), fmtDouble(tc.totalW, 1).c_str(),
-                     fmtDouble(tc.report.peakK, 1).c_str(),
-                     tc.report.hottestBlock.c_str(), tc.report.hottestDie);
-}
-
 /** The @p count hottest blocks of core 0 and the L2 (the cores are
  *  symmetric), hottest first. */
 void
@@ -286,7 +276,11 @@ renderFig10(const Fig10Data &data)
                      data.sameApp.c_str());
     for (const ThermalCase *tc :
          {&data.samePlanar, &data.sameNoTh3d, &data.sameTh3d}) {
-        out << thermalCaseLine(*tc);
+        out << strformat("%s (%s W): peak %s K at %s (die %d)\n",
+                         tc->config.c_str(), fmtDouble(tc->totalW, 1).c_str(),
+                         fmtDouble(tc->report.peakK, 1).c_str(),
+                         tc->report.hottestBlock.c_str(),
+                         tc->report.hottestDie);
         printHotBlocks(out, tc->report, 6);
     }
 

@@ -3,10 +3,11 @@
  * Perturbation tests of the artifact-store cache keys: every CoreConfig
  * and DtmOptions field must actually move configHash / dtmConfigHash
  * when it changes, and the derived keys (intervalFamilyHash,
- * multicoreConfigHash) must move with every field they fold. tools/th_lint statically proves each field is
- * *referenced* by the hash function; these tests prove the reference is
- * *effective* (folded into the digest, not e.g. dead code) — together
- * they close the stale-cache-artifact hole from both sides.
+ * multicoreConfigHash) must move with every field they fold.
+ * tools/th_lint statically proves each field is *referenced* by its
+ * struct's field list; these tests prove the reference is *effective*
+ * (folded into the digest, not e.g. dead code) — together they close
+ * the stale-cache-artifact hole from both sides.
  */
 
 #include <cstdint>
