@@ -348,13 +348,10 @@ const AblationVariant kAblationVariants[] = {
 } // namespace
 
 AblationData
-runAblation(System &sys, const std::vector<std::string> &apps,
-            const CancelToken *cancel)
+runAblation(System &sys)
 {
     AblationData data;
-    data.apps = apps.empty()
-        ? std::vector<std::string>{"mpeg2enc", "gzip", "yacr2"}
-        : apps;
+    data.apps = {"mpeg2enc", "gzip", "yacr2"};
     const size_t nvar = std::size(kAblationVariants);
     data.rows = ThreadPool::global().parallelMap(
         data.apps.size() * nvar, [&](size_t i) {
@@ -362,7 +359,7 @@ runAblation(System &sys, const std::vector<std::string> &apps,
             CoreConfig cfg = makeConfig(ConfigKind::ThreeD, sys.circuits());
             v.tweak(cfg);
             const CoreResult run =
-                sys.runCore(data.apps[i / nvar], cfg, cancel);
+                sys.runCore(data.apps[i / nvar], cfg);
             const PowerResult power = sys.power().compute(run, cfg);
             AblationRow row;
             row.variant = v.name;

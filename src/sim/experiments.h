@@ -187,13 +187,11 @@ struct AblationData
  * Ablation study: starting from the full 3D configuration, disable
  * each Thermal Herding mechanism in turn (scheduler allocation, PAM,
  * PVE, BTB memoization, the width predictor's kind, herding itself)
- * and measure IPC, chip power and the top die's dynamic share on each
- * of @p apps (empty = mpeg2enc, gzip, yacr2). Every run goes through
- * System::runCore, so the memo cache and the store apply.
+ * and measure IPC, chip power and the top die's dynamic share on
+ * mpeg2enc, gzip and yacr2. Every run goes through System::runCore,
+ * so the memo cache and the store apply.
  */
-AblationData runAblation(System &sys,
-                         const std::vector<std::string> &apps = {},
-                         const CancelToken *cancel = nullptr);
+AblationData runAblation(System &sys);
 
 /** One configuration's closed-loop DTM outcome. */
 struct DtmCase

@@ -183,12 +183,7 @@ renderFig9Detail(const Fig9Data &data)
                      "===\n", System::kPowerReferenceBenchmark);
     for (const PowerBreakdown *b :
          {&data.planar, &data.noTh3d, &data.th3d}) {
-        out << strformat("%s: total %s W (clock %s, leakage %s, dynamic "
-                         "%s)\n",
-                         b->config.c_str(), fmtDouble(b->totalW, 1).c_str(),
-                         fmtDouble(b->clockW, 1).c_str(),
-                         fmtDouble(b->leakW, 1).c_str(),
-                         fmtDouble(b->dynamicW, 1).c_str());
+        out << b->config << ":\n";
         Table t({"Block", "Watts", "Share of dynamic"});
         for (int i = 0; i < kNumCoreBlocks; ++i) {
             const double w = b->blockW[static_cast<size_t>(i)];

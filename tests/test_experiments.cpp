@@ -136,19 +136,23 @@ TEST_F(ExperimentsTest, PamAblationLosesMemoization)
 TEST_F(ExperimentsTest, AblationRowsFollowTheFull3DBaseline)
 {
     System &sys = *sys_;
-    const AblationData data = runAblation(sys, {"gzip"});
-    ASSERT_EQ(data.apps, std::vector<std::string>{"gzip"});
-    ASSERT_EQ(data.rows.size(), 9u);
-    // The first variant is the untouched 3D preset, so it is the same
-    // memoized run as runCore on that preset.
-    EXPECT_EQ(data.rows.front().ipc,
-              sys.runCore("gzip", ConfigKind::ThreeD).perf.ipc());
-    // Without width prediction nothing is herded: the top die loses
-    // its share of the dynamic power and the chip burns more.
-    const AblationRow &full = data.rows.front();
-    const AblationRow &no_herding = data.rows.back();
-    EXPECT_LT(no_herding.topDieFrac, full.topDieFrac);
-    EXPECT_GT(no_herding.totalW, full.totalW);
+    const AblationData data = runAblation(sys);
+    const std::vector<std::string> apps{"mpeg2enc", "gzip", "yacr2"};
+    ASSERT_EQ(data.apps, apps);
+    ASSERT_EQ(data.rows.size(), 9 * apps.size());
+    for (size_t a = 0; a < apps.size(); ++a) {
+        SCOPED_TRACE(apps[a]);
+        // Each app's first variant is the untouched 3D preset, so it
+        // is the same memoized run as runCore on that preset.
+        const AblationRow &full = data.rows[9 * a];
+        EXPECT_EQ(full.ipc,
+                  sys.runCore(apps[a], ConfigKind::ThreeD).perf.ipc());
+        // Without width prediction nothing is herded: the top die
+        // loses its share of the dynamic power and the chip burns more.
+        const AblationRow &no_herding = data.rows[9 * a + 8];
+        EXPECT_LT(no_herding.topDieFrac, full.topDieFrac);
+        EXPECT_GT(no_herding.totalW, full.totalW);
+    }
 }
 
 } // namespace

@@ -8,8 +8,9 @@
  *
  * Usage:
  *   th_run table2
- *   th_run fig8|fig9|fig10|width|sweep|ablation [--benchmarks a,b,c]
+ *   th_run fig8|fig9|fig10|width|sweep [--benchmarks a,b,c]
  *          [--insts N] [--warmup N] [--store DIR]
+ *   th_run ablation [--insts N] [--warmup N] [--store DIR]
  *   th_run core [--benchmarks b] [--config NAME]
  *   th_run multicore [--cores N] [--banks N] [--benchmarks a,b]
  *   th_run trace record <benchmark> <out.thtrace> [--records N]
@@ -123,9 +124,9 @@ usage(const char *msg = nullptr)
     std::fprintf(stderr,
         "usage:\n"
         "  th_run table2\n"
-        "  th_run fig8|fig9|fig10|width|sweep|ablation\n"
-        "         [--benchmarks a,b,c] [--insts N] [--warmup N]\n"
-        "         [--store DIR]\n"
+        "  th_run fig8|fig9|fig10|width|sweep [--benchmarks a,b,c]\n"
+        "         [--insts N] [--warmup N] [--store DIR]\n"
+        "  th_run ablation [--insts N] [--warmup N] [--store DIR]\n"
         "  th_run trace record <benchmark> <out.thtrace> [--records N]\n"
         "  th_run trace info <file.thtrace>\n"
         "  th_run trace run <file.thtrace> [--config NAME] [--insts N]\n"
@@ -453,12 +454,8 @@ cmdTable2()
 int
 cmdAblation(const Args &args)
 {
-    const std::vector<std::string> apps = splitList(args.benchmarks);
-    for (const std::string &app : apps)
-        if (!hasBenchmark(app))
-            usage(strformat("unknown benchmark '%s'", app.c_str()).c_str());
     System sys = makeSystem(args);
-    std::fputs(renderAblation(runAblation(sys, apps)).c_str(), stdout);
+    std::fputs(renderAblation(runAblation(sys)).c_str(), stdout);
     std::fputs(renderCounters(sys).c_str(), stdout);
     return 0;
 }
