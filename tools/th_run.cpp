@@ -152,9 +152,10 @@ usage(const char *msg = nullptr)
         "  th_run ping|metrics --connect host:port\n"
         "  th_run --version\n"
         "\n"
-        "table2 and fig8/9/10, width and ablation print the paper's\n"
-        "tables and end with anchor lines, measured beside paper;\n"
-        "sweep runs fig8, fig9 and fig10 in turn.\n"
+        "table2, fig8/9/10 and width print the paper's tables and end\n"
+        "with anchor lines, measured beside paper; sweep runs fig8,\n"
+        "fig9 and fig10 in turn; ablation turns each herding mechanism\n"
+        "off in turn on mpeg2enc, gzip and yacr2.\n"
         "The experiment commands persist CoreResults to --store /\n"
         "TH_STORE_DIR when set; a warm re-run then skips simulation.\n"
         "th_run dtm compares closed-loop thermal throttling on the\n"
