@@ -71,7 +71,7 @@ mapConfig(System &sys, const std::string &bench, ConfigKind kind)
               << ": total " << fmtDouble(ev.power.totalW(), 1)
               << " W, peak " << fmtDouble(rep.peakK, 1) << " K at "
               << rep.hottestBlock << " ===\n";
-    const double lo = sys.hotspot().params().ambientK + 10.0;
+    const double lo = kAmbientK + 10.0;
     const double hi = rep.peakK;
     for (int d = 0; d < dies; ++d) {
         std::cout << "\n  die " << d

@@ -3,7 +3,7 @@
  * Dynamic thermal management example (the paper's conclusions point at
  * trading a slice of the 3D performance gain for temperature — Black
  * et al.'s observation cited in Section 5.3). Uses the transient
- * thermal solver: start the 4-die stack from an idle steady state, hit
+ * thermal stepper: start the 4-die stack from an idle steady state, hit
  * it with a high-power phase, and compare free-running heating against
  * a simple throttle that sheds 30% of core power whenever the peak
  * crosses a trigger temperature.
@@ -65,33 +65,37 @@ main()
     std::cout << "idle steady state: peak "
               << fmtDouble(idle.peak(grid.dieLayers()), 1) << " K\n";
 
-    // Free-running: full power burst for 60 ms.
+    // Free-running: full power burst for 60 ms, sampled every 5 ms.
     depositPower(grid, sys, hot_rep, fp, 1.0);
-    const auto free_run = grid.solveTransient(idle, 0.060, 1e-4, 12);
+    TransientStepper free_run(grid, idle, 1e-4);
+    std::vector<double> free_peaks;
+    for (int interval = 0; interval < 12; ++interval) {
+        free_run.advance(0.005);
+        free_peaks.push_back(free_run.field().peak(grid.dieLayers()));
+    }
 
     // Throttled: re-evaluate every 5 ms; if the peak exceeds the
     // trigger, shed 30% of the power for the next interval.
     const double trigger_k = 352.0;
-    ThermalField state = idle;
+    TransientStepper throttled(grid, idle, 1e-4);
     std::vector<double> throttled_peaks;
     int throttle_events = 0;
     for (int interval = 0; interval < 12; ++interval) {
         const bool too_hot =
-            state.peak(grid.dieLayers()) > trigger_k;
+            throttled.field().peak(grid.dieLayers()) > trigger_k;
         throttle_events += too_hot ? 1 : 0;
         depositPower(grid, sys, hot_rep, fp, too_hot ? 0.7 : 1.0);
-        const auto step = grid.solveTransient(state, 0.005, 1e-4, 1);
-        state = step.final;
-        throttled_peaks.push_back(state.peak(grid.dieLayers()));
+        throttled.advance(0.005);
+        throttled_peaks.push_back(
+            throttled.field().peak(grid.dieLayers()));
     }
 
     std::cout << "\ntime (ms) | free-running peak (K) | throttled peak "
                  "(K)\n";
     Table t({"t (ms)", "free (K)", "throttled (K)"});
-    for (size_t i = 0; i < throttled_peaks.size() &&
-         i < free_run.peakK.size(); ++i) {
+    for (size_t i = 0; i < throttled_peaks.size(); ++i) {
         t.addRow({fmtDouble((i + 1) * 5.0, 0),
-                  fmtDouble(free_run.peakK[i], 1),
+                  fmtDouble(free_peaks[i], 1),
                   fmtDouble(throttled_peaks[i], 1)});
     }
     t.print(std::cout);
@@ -100,7 +104,7 @@ main()
               << " K; intervals throttled: " << throttle_events
               << "/12 (30% power shed)\n";
     std::cout << "final peaks: free "
-              << fmtDouble(free_run.peakK.back(), 1) << " K vs throttled "
+              << fmtDouble(free_peaks.back(), 1) << " K vs throttled "
               << fmtDouble(throttled_peaks.back(), 1) << " K\n";
     std::cout << "\nThermal Herding attacks the same problem at zero "
                  "performance cost by\nmoving the activity to the "

@@ -329,8 +329,7 @@ void EventLoop::parseFrames(Conn &c)
             if (!reader.readHeader(kServerFormatTag, schema, err) ||
                 schema != kWireSchemaVersion) {
                 // Handshake failure: the peer is not speaking our
-                // protocol version; hang up without a reply (matching
-                // the blocking server's helloAsServer behaviour).
+                // protocol version; hang up without a reply.
                 destroyConn(id, false);
                 destroyed = true;
                 break;

@@ -37,16 +37,11 @@ class ServerMetrics
     /** Record one request's service time. */
     void sampleLatencyUs(std::uint64_t micros);
 
-    std::uint64_t requestsServed() const { return requests_served_.load(); }
     std::uint64_t dedupHits() const { return dedup_hits_.load(); }
     std::uint64_t simulationsRun() const { return simulations_run_.load(); }
     std::uint64_t rejectedOverload() const
     {
         return rejected_overload_.load();
-    }
-    std::uint64_t rejectedShutdown() const
-    {
-        return rejected_shutdown_.load();
     }
     std::uint64_t deadlineExpired() const
     {

@@ -59,30 +59,11 @@ bool WireConn::helloAsClient(const std::string &build,
     return recvHello(peer_build, err);
 }
 
-bool WireConn::helloAsServer(const std::string &build,
-                             std::string &peer_build, std::string &err)
-{
-    if (!sendHello(build)) {
-        err = "failed to send handshake";
-        return false;
-    }
-    // The server reads requests, so its reader caps at request size.
-    reader_.setMaxChunkBytes(kMaxRequestBytes);
-    return recvHello(peer_build, err);
-}
-
 bool WireConn::sendRequest(const SimRequest &req)
 {
     Encoder enc;
     encodeSimRequest(enc, req);
     return writer_.chunk(kRequestTag, enc);
-}
-
-bool WireConn::sendResponse(const SimResponse &rsp)
-{
-    Encoder enc;
-    encodeSimResponse(enc, rsp);
-    return writer_.chunk(kResponseTag, enc);
 }
 
 bool WireConn::recvChunk(const char *want_tag,
@@ -104,19 +85,6 @@ bool WireConn::recvChunk(const char *want_tag,
     if (tag != want_tag) {
         err = "expected chunk '" + std::string(want_tag) + "', got '" + tag +
               "'";
-        return false;
-    }
-    return true;
-}
-
-bool WireConn::recvRequest(SimRequest &req, bool &clean_eof, std::string &err)
-{
-    std::vector<std::uint8_t> payload;
-    if (!recvChunk(kRequestTag, payload, clean_eof, err))
-        return false;
-    Decoder dec(payload);
-    if (!decodeSimRequest(dec, req) || !dec.atEnd()) {
-        err = "malformed request payload";
         return false;
     }
     return true;

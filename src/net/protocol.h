@@ -40,10 +40,10 @@ inline constexpr std::uint32_t kMaxRequestBytes = 1u << 20;
 inline constexpr std::uint32_t kMaxResponseBytes = 16u << 20;
 
 /**
- * One side of an established connection: owns the socket plus the
- * chunk writer/reader running over it. Created by helloAsClient /
- * helloAsServer, which perform the handshake. Not thread-safe; the
- * server guards each connection with its own thread, the client is
+ * The client side of an established connection: owns the socket plus
+ * the chunk writer/reader running over it; helloAsClient performs the
+ * handshake. (The server side is the event loop's per-connection
+ * buffers, see net/event_loop.h.) Not thread-safe; SimClient is
  * single-threaded by construction.
  */
 class WireConn
@@ -58,19 +58,8 @@ class WireConn
      */
     bool helloAsClient(const std::string &build, std::string &peer_build,
                        std::string &err);
-    /** Handshake from the server side (sends first, then validates). */
-    bool helloAsServer(const std::string &build, std::string &peer_build,
-                       std::string &err);
 
     bool sendRequest(const SimRequest &req);
-    bool sendResponse(const SimResponse &rsp);
-
-    /**
-     * Read one SREQ chunk. Returns false on EOF/corruption; EOF with
-     * no partial frame (a client hanging up between requests) sets
-     * @p clean_eof so the server can drop the connection silently.
-     */
-    bool recvRequest(SimRequest &req, bool &clean_eof, std::string &err);
     bool recvResponse(SimResponse &rsp, std::string &err);
 
     /** Unblock a blocked read/write from another thread. */

@@ -51,6 +51,12 @@ bool parseHostPort(const std::string &addr, std::string &host,
 /** Keep at most this many warm connections per backend. */
 constexpr std::size_t kMaxIdlePerBackend = 4;
 
+/** Virtual nodes per backend on the hash ring. */
+constexpr int kVnodes = 64;
+
+/** Longest reconnect backoff after repeated shard failures. */
+constexpr std::uint32_t kBackoffMaxMs = 5000;
+
 } // namespace
 
 RouterServer::RouterServer(const RouterOptions &opts)
@@ -58,9 +64,8 @@ RouterServer::RouterServer(const RouterOptions &opts)
 {
     // The ring only needs the address strings, so it is built here and
     // immutable afterwards — routeOf() is lock-free.
-    const int vnodes = opts_.vnodes < 1 ? 1 : opts_.vnodes;
     for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
-        for (int v = 0; v < vnodes; ++v) {
+        for (int v = 0; v < kVnodes; ++v) {
             const std::string point =
                 opts_.backends[i] + '#' + std::to_string(v);
             ring_.emplace_back(fnv1a(point.data(), point.size()), i);
@@ -262,7 +267,7 @@ void RouterServer::forward(Backend &b, const SimRequest &req,
             LockGuard lock(b.mu);
             b.backoff_ms = b.backoff_ms == 0
                                ? opts_.backoffInitialMs
-                               : std::min(opts_.backoffMaxMs,
+                               : std::min(kBackoffMaxMs,
                                           b.backoff_ms * 2);
             b.down_until =
                 Clock::now() + std::chrono::milliseconds(b.backoff_ms);

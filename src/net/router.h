@@ -41,11 +41,9 @@ struct RouterOptions
     std::size_t queueCapacity = 64;
     /** Backend shards as "host:port"; at least one is required. */
     std::vector<std::string> backends;
-    /** Virtual nodes per backend on the hash ring. */
-    int vnodes = 64;
-    /** Reconnect backoff after a shard failure (doubles to the max). */
+    /** Reconnect backoff after a shard failure (doubles per failure,
+     *  up to 5 s). */
     std::uint32_t backoffInitialMs = 100;
-    std::uint32_t backoffMaxMs = 5000;
 };
 
 class RouterServer : public EventHandler

@@ -90,6 +90,16 @@ namespace {
 /** Rows a lexicographic SOR wavefront overlaps (see sorRows). */
 constexpr int kSkewRows = 6;
 
+/** Effective sink-to-ambient convection resistance (K/W), spread
+ *  evenly over the top layer's cells. */
+constexpr double kConvectionKPerW = 0.33;
+
+/** SOR over-relaxation factor. */
+constexpr double kSorOmega = 1.88;
+
+/** Cap on SOR sweeps, and on multigrid cycles. */
+constexpr int kMaxIterations = 200000;
+
 /**
  * One SOR update of padded cell @p c: the same expression and
  * addition order as a sweep over the unpadded network, with every
@@ -173,7 +183,7 @@ load(const double *p)
  * cells are never written, so both buffers keep their values.
  */
 void
-explicitSteps(const PaddedNetwork &g, const double *p_in, double t_amb,
+explicitSteps(const PaddedNetwork &g, const double *p_in,
               const double *rate, double *&cur, double *&next,
               std::int64_t steps)
 {
@@ -191,7 +201,7 @@ explicitSteps(const PaddedNetwork &g, const double *p_in, double t_amb,
                                 const double *pin) {
             using V = decltype(lanes);
             const V tc = load<V>(t + c);
-            V flow = load<V>(ga + c) * (t_amb - tc) + load<V>(pin);
+            V flow = load<V>(ga + c) * (kAmbientK - tc) + load<V>(pin);
             flow += load<V>(gr + c - 1) * (load<V>(t + c - 1) - tc);
             flow += load<V>(gr + c) * (load<V>(t + c + 1) - tc);
             flow += load<V>(gd + c - pn) * (load<V>(t + c - pn) - tc);
@@ -240,9 +250,9 @@ solverKindByName(const std::string &name, SolverKind *out)
     return true;
 }
 
-ThermalField::ThermalField(int grid_n, int layers, double ambient_k)
+ThermalField::ThermalField(int grid_n, int layers)
     : n_(grid_n), layers_(layers),
-      t_(static_cast<size_t>(grid_n) * grid_n * layers, ambient_k)
+      t_(static_cast<size_t>(grid_n) * grid_n * layers, kAmbientK)
 {
 }
 
@@ -470,7 +480,7 @@ ThermalGrid::buildConductances() const
 
     // Distributed convection from the top (sink) layer.
     const double g_cell_conv =
-        (1.0 / params_.convectionKPerW) / static_cast<double>(n * n);
+        (1.0 / kConvectionKPerW) / static_cast<double>(n * n);
     for (int iy = 0; iy < n; ++iy)
         for (int ix = 0; ix < n; ++ix)
             net.gAmb[net.idx(0, ix, iy)] = g_cell_conv;
@@ -641,42 +651,40 @@ ThermalGrid::solve(SolveStats *stats, const ThermalField *warm_start) const
     const Network &net = network();
     const PaddedNetwork &g = padded();
 
-    ThermalField field(n, nl, params_.ambientK);
+    ThermalField field(n, nl);
     if (warm_start != nullptr) {
         if (warm_start->gridN() != n || warm_start->layers() != nl)
             fatal("warm-start field has the wrong geometry");
         field = *warm_start;
     }
-    const double t_amb = params_.ambientK;
-    const double omega = params_.sorOmega;
-    std::vector<double> t = g.pad(field, t_amb);
+    std::vector<double> t = g.pad(field, kAmbientK);
     // Each cell's first term, gAmb * T_ambient + P, is fixed for the
     // whole solve.
     std::vector<double> src(g.cells, 0.0);
     for (const PaddedNetwork::Span &sp : g.sorSpans)
         for (int i = 0; i < sp.len; ++i)
             src[sp.cell + static_cast<size_t>(i)] =
-                g.gAmb[sp.cell + static_cast<size_t>(i)] * t_amb +
+                g.gAmb[sp.cell + static_cast<size_t>(i)] * kAmbientK +
                 net.pIn[sp.flat + static_cast<size_t>(i)];
 
     int iter = 0;
     double max_delta = 0.0;
-    for (; iter < params_.maxIterations; ++iter) {
+    for (; iter < kMaxIterations; ++iter) {
         max_delta = 0.0;
         for (const PaddedNetwork::Group &grp : g.sorGroups) {
             const PaddedNetwork::Span &sp = g.sorSpans[grp.span];
             max_delta = std::max(
                 max_delta, sorRows(g, src.data(), t.data(), sp.cell,
-                                   sp.len, grp.rows, omega));
+                                   sp.len, grp.rows, kSorOmega));
         }
         if (max_delta < params_.maxResidualK)
             break;
     }
-    if (iter >= params_.maxIterations)
+    if (iter >= kMaxIterations)
         warn("thermal solve hit the iteration cap (%d); residual above "
-             "%g K", params_.maxIterations, params_.maxResidualK);
+             "%g K", kMaxIterations, params_.maxResidualK);
     if (stats != nullptr) {
-        stats->iterations = std::min(iter + 1, params_.maxIterations);
+        stats->iterations = std::min(iter + 1, kMaxIterations);
         stats->residualK = max_delta;
         stats->vcycles = 0;
         stats->contraction = 0.0;
@@ -702,19 +710,11 @@ ThermalGrid::solveMultigrid(SolveStats *stats,
     const Network &net = network();
     const size_t cells = static_cast<size_t>(nl) * n * n;
 
-    if (!mg_) {
-        MgParams mp;
-        mp.preSmooth = params_.mgPreSmooth;
-        mp.postSmooth = params_.mgPostSmooth;
-        mp.coarseSweeps = params_.mgCoarseSweeps;
-        mp.coarsestN = params_.mgCoarsestN;
-        mp.maxCycles = params_.maxIterations;
-        mp.toleranceK = params_.maxResidualK;
+    if (!mg_)
         mg_ = std::make_unique<MgSolver>(
             mgFineLevel(n, nl, net.gRight, net.gDown, net.gBelow,
                         net.gAmb),
-            mp);
-    }
+            kMaxIterations, params_.maxResidualK);
 
     std::vector<double> u0;
     if (warm_start != nullptr) {
@@ -722,21 +722,21 @@ ThermalGrid::solveMultigrid(SolveStats *stats,
             fatal("warm-start field has the wrong geometry");
         u0.resize(cells);
         for (size_t c = 0; c < cells; ++c)
-            u0[c] = warm_start->t(c) - params_.ambientK;
+            u0[c] = warm_start->t(c) - kAmbientK;
     }
     mg_->setProblem(net.pIn, warm_start != nullptr ? &u0 : nullptr);
 
     const MgSolver::Stats ms = mg_->solve();
-    if (ms.cycles >= params_.maxIterations &&
+    if (ms.cycles >= kMaxIterations &&
         ms.residualK >= params_.maxResidualK)
         warn("thermal solve hit the iteration cap (%d); residual above "
-             "%g K", params_.maxIterations, params_.maxResidualK);
+             "%g K", kMaxIterations, params_.maxResidualK);
 
     std::vector<double> u;
     mg_->solution(u);
-    ThermalField field(n, nl, params_.ambientK);
+    ThermalField field(n, nl);
     for (size_t c = 0; c < cells; ++c)
-        field.t(c) = params_.ambientK + u[c];
+        field.t(c) = kAmbientK + u[c];
     if (stats != nullptr) {
         stats->iterations = ms.cycles;
         stats->residualK = ms.residualK;
@@ -745,49 +745,6 @@ ThermalGrid::solveMultigrid(SolveStats *stats,
         stats->estErrorK = ms.estErrorK;
     }
     return field;
-}
-
-ThermalGrid::Transient
-ThermalGrid::solveTransient(const ThermalField &initial,
-                            double duration_s, double dt_s,
-                            int samples) const
-{
-    const int n = params_.gridN;
-    const int nl = static_cast<int>(layers_.size());
-    if (initial.gridN() != n || initial.layers() != nl)
-        fatal("transient initial field has the wrong geometry");
-    if (duration_s <= 0.0 || dt_s <= 0.0 || samples < 1)
-        fatal("transient needs positive duration, step, and samples");
-
-    TransientStepper stepper(*this, initial, dt_s);
-    const double dt = stepper.dtS();
-
-    const auto steps =
-        std::max<std::int64_t>(1, static_cast<std::int64_t>(
-            duration_s / dt));
-    const std::int64_t sample_every =
-        std::max<std::int64_t>(1, steps / samples);
-
-    Transient out(n, nl, params_.ambientK);
-    const std::vector<int> die_layers = dieLayers();
-
-    // Step to each multiple of sample_every, then to the end.
-    // Intermediate samples only; the final one is recorded once below
-    // so it can never be duplicated.
-    for (std::int64_t done = 0; done < steps;) {
-        const std::int64_t to =
-            std::min(steps, (done / sample_every + 1) * sample_every);
-        stepper.step(to - done);
-        done = to;
-        if (done % sample_every == 0 && done != steps) {
-            out.timeS.push_back(static_cast<double>(done) * dt);
-            out.peakK.push_back(stepper.field().peak(die_layers));
-        }
-    }
-    out.final = stepper.field();
-    out.timeS.push_back(static_cast<double>(steps) * dt);
-    out.peakK.push_back(out.final.peak(die_layers));
-    return out;
 }
 
 double
@@ -869,7 +826,7 @@ ThermalGrid::stepOnceVerticalImplicit(ThermalField &field,
                     continue;
                 const double t = field.at(l, ix, iy);
                 double rhs = net.cap[c] * inv_dt * t +
-                    net.gAmb[c] * params_.ambientK + net.pIn[c];
+                    net.gAmb[c] * kAmbientK + net.pIn[c];
                 if (ix > 0)
                     rhs += net.gRight[c - 1] *
                         (field.at(l, ix - 1, iy) - t);
@@ -959,7 +916,7 @@ TransientStepper::TransientStepper(const ThermalGrid &grid,
         return;
     const PaddedNetwork &g = grid.padded();
     const std::vector<double> &cap = grid.network().cap;
-    cur_ = g.pad(initial, grid.params().ambientK);
+    cur_ = g.pad(initial, kAmbientK);
     next_ = cur_;
     rate_.assign(g.cells, 0.0);
     for (const PaddedNetwork::Span &sp : g.stepSpans)
@@ -994,9 +951,8 @@ TransientStepper::step(std::int64_t count)
         const std::vector<double> &p_in = grid_->network().pIn;
         double *cur = cur_.data();
         double *next = next_.data();
-        explicitSteps(grid_->padded(), p_in.data(),
-                      grid_->params().ambientK, rate_.data(), cur, next,
-                      count);
+        explicitSteps(grid_->padded(), p_in.data(), rate_.data(), cur,
+                      next, count);
         if (cur != cur_.data())
             cur_.swap(next_);
         grid_->padded().unpad(cur_, field_);
@@ -1025,8 +981,8 @@ ThermalGrid::blockTemps(const ThermalField &field, int die, double x,
         tsum += f * t;
         pk = std::max(pk, t);
     });
-    avg_k = wsum > 0.0 ? tsum / wsum : params_.ambientK;
-    peak_k = pk > 0.0 ? pk : params_.ambientK;
+    avg_k = wsum > 0.0 ? tsum / wsum : kAmbientK;
+    peak_k = pk > 0.0 ? pk : kAmbientK;
 }
 
 } // namespace th

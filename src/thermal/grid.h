@@ -93,37 +93,31 @@ const char *solverKindName(SolverKind kind);
 /** Parse a wire/CLI name; returns false (out untouched) when unknown. */
 bool solverKindByName(const std::string &name, SolverKind *out);
 
+/**
+ * Ambient temperature, 45 C (the HotSpot default). Every field starts
+ * here, and the sink convects to it.
+ */
+inline constexpr double kAmbientK = 318.15;
+
 /** Solver and geometry parameters. */
 struct ThermalParams
 {
-    double ambientK = 318.15;  ///< 45 C ambient (HotSpot default).
     int gridN = 48;            ///< Cells per side over the spreader.
     double spreaderMm = 20.0;  ///< Lateral size of spreader/sink.
-    /** Effective sink-to-ambient convection resistance (K/W). */
-    double convectionKPerW = 0.33;
-    double sorOmega = 1.88;
+    /**
+     * Stopping tolerance (K) of both steady solvers: the largest cell
+     * move of an SOR sweep, or of a multigrid cycle's last smoothing
+     * pass, so switching solvers keeps one convergence contract.
+     */
     double maxResidualK = 1e-4;
-    int maxIterations = 200000;
     SolverKind solver = SolverKind::Sor;
-
-    // --- Multigrid knobs (ignored by the SOR path). maxIterations
-    // caps V-cycles and maxResidualK is the shared stopping
-    // tolerance, so switching solvers keeps one convergence
-    // contract. ---
-    int mgPreSmooth = 2;    ///< Smoothing passes before restriction.
-    int mgPostSmooth = 2;   ///< Smoothing passes after prolongation.
-    int mgCoarseSweeps = 50; ///< Relaxations on the coarsest level.
-    int mgCoarsestN = 4;    ///< Stop coarsening below this lateral size.
-
-    // --- Leakage-temperature feedback (subthreshold leakage grows
-    // exponentially with temperature; the solver iterates power and
-    // temperature to equilibrium, which is what makes the paper's
-    // iso-power 4x-density experiment run away to 418 K). ---
-    /** Reference temperature at which nominal leakage is quoted (K). */
-    double leakRefK = 365.0;
-    /** Exponential slope: leakage doubles every ~theta*ln2 kelvin. */
-    double leakThetaK = 26.0;
-    /** Power/temperature fixed-point iterations (0 = no feedback). */
+    /**
+     * Leakage-temperature feedback rounds (0 = no feedback).
+     * Subthreshold leakage grows exponentially with temperature; the
+     * model iterates power and temperature to equilibrium, which is
+     * what makes the paper's iso-power 4x-density experiment run away
+     * to 418 K.
+     */
     int leakFeedbackIters = 8;
 };
 
@@ -131,7 +125,8 @@ struct ThermalParams
 class ThermalField
 {
   public:
-    ThermalField(int grid_n, int layers, double ambient_k);
+    /** A @p grid_n x @p grid_n x @p layers field at kAmbientK. */
+    ThermalField(int grid_n, int layers);
 
     double &at(int layer, int ix, int iy);
     double at(int layer, int ix, int iy) const;
@@ -213,39 +208,10 @@ class ThermalGrid
     ThermalField solve(SolveStats *stats = nullptr,
                        const ThermalField *warm_start = nullptr) const;
 
-    /** Time/peak trace plus the final field of a transient run. */
-    struct Transient
-    {
-        std::vector<double> timeS;
-        std::vector<double> peakK;
-        ThermalField final;
-
-        Transient(int n, int layers, double ambient)
-            : final(n, layers, ambient)
-        {
-        }
-    };
-
-    /**
-     * Transient simulation: march the field forward from @p initial by
-     * explicit time stepping under the currently deposited power.
-     *
-     * @param initial     Starting temperature field (e.g. a steady
-     *                    solve under a previous power map).
-     * @param duration_s  Simulated time span (seconds).
-     * @param dt_s        Requested time step; clamped down to the
-     *                    explicit-stability limit automatically.
-     * @param samples     Number of (time, peak) samples to record.
-     */
-    Transient solveTransient(const ThermalField &initial,
-                             double duration_s, double dt_s,
-                             int samples = 50) const;
-
     /**
      * Stability-clamped explicit step: the largest dt <= @p dt_s that
-     * satisfies dt <= 0.4 * C / sum(G) for every material cell. Both
-     * solveTransient() and TransientStepper step at this size, through
-     * the same explicit kernel.
+     * satisfies dt <= 0.4 * C / sum(G) for every material cell.
+     * TransientStepper's explicit scheme steps at this size.
      */
     double transientDt(double dt_s) const;
 
@@ -388,9 +354,6 @@ class TransientStepper
     std::int64_t steps() const { return steps_; }
 
   private:
-    // solveTransient steps by its own count through step().
-    friend class ThermalGrid;
-
     /** Take exactly @p count steps, then refresh field(). */
     void step(std::int64_t count);
 

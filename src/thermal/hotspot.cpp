@@ -22,6 +22,11 @@ constexpr double kTim = 34.0;
  */
 constexpr double kD2d = 80.0;
 
+/** Reference temperature at which nominal leakage is quoted (K). */
+constexpr double kLeakRefK = 365.0;
+/** Exponential slope: leakage doubles every ~theta*ln2 kelvin. */
+constexpr double kLeakThetaK = 26.0;
+
 } // namespace
 
 double
@@ -122,7 +127,7 @@ HotspotModel::analyze(const Floorplan &fp, const PowerResult &power,
     // warm-start from the previous field (a handful of SOR iterations
     // instead of a full cold solve).
     const int rounds = std::max(1, params_.leakFeedbackIters);
-    ThermalField field(params_.gridN, num_layers, params_.ambientK);
+    ThermalField field(params_.gridN, num_layers);
     for (int round = 0; round < rounds; ++round) {
         grid.clearPower();
         for (const auto &p : placed) {
@@ -138,8 +143,7 @@ HotspotModel::analyze(const Floorplan &fp, const PowerResult &power,
             // (gate/junction leakage saturates well before the
             // subthreshold exponential alone would suggest).
             const double mult = std::min(3.2,
-                std::exp((p.avgK - params_.leakRefK) /
-                         params_.leakThetaK));
+                std::exp((p.avgK - kLeakRefK) / kLeakThetaK));
             const double new_leak =
                 0.4 * p.leakW + 0.6 * p.leakNomW * mult;
             max_shift = std::max(max_shift,

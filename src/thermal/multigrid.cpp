@@ -11,6 +11,30 @@ namespace th {
 
 namespace {
 
+/** Smoothing passes on the way down, and on the way up. */
+constexpr int kPreSmooth = 2;
+constexpr int kPostSmooth = 2;
+
+/**
+ * Fixed relaxation count on the coarsest level: a deterministic
+ * stand-in for a direct solve, cheap at <= kCoarsestN^2 columns and
+ * accurate far beyond the smoother's needs.
+ */
+constexpr int kCoarseSweeps = 50;
+
+/** Stop coarsening below this lateral size. */
+constexpr int kCoarsestN = 4;
+
+/**
+ * Coarse visits per cycle: 2 makes a W-cycle. The aggregation coarse
+ * operator is not spectrally equivalent to the fine one, so a plain
+ * V-cycle (1 visit) stalls near convergence factor ~0.9 on large
+ * grids; the second visit restores ~0.35 at ~1.5x the per-cycle cost.
+ * Coarse-level work shrinks 4x per level while visits only double, so
+ * the recursion cost stays geometric.
+ */
+constexpr int kCoarseVisits = 2;
+
 /**
  * Dispatch per-row work inline when the level is small (the pool's
  * job handoff would dominate the coarse sweeps) or across the pool
@@ -325,22 +349,17 @@ mgProlongAdd(MgLevel &fine, const MgLevel &coarse, ThreadPool &pool)
     });
 }
 
-MgSolver::MgSolver(MgLevel fine, const MgParams &mp) : mp_(mp)
+MgSolver::MgSolver(MgLevel fine, int max_cycles, double tolerance_k)
+    : maxCycles_(std::max(1, max_cycles)), toleranceK_(tolerance_k)
 {
-    mp_.preSmooth = std::max(0, mp_.preSmooth);
-    mp_.postSmooth = std::max(1, mp_.postSmooth);
-    mp_.coarseSweeps = std::max(1, mp_.coarseSweeps);
-    mp_.coarsestN = std::max(2, mp_.coarsestN);
-    mp_.maxCycles = std::max(1, mp_.maxCycles);
-    mp_.gamma = std::min(2, std::max(1, mp_.gamma));
     levels_.push_back(std::move(fine));
     while (levels_.back().n % 2 == 0 &&
-           levels_.back().n / 2 >= mp_.coarsestN) {
+           levels_.back().n / 2 >= kCoarsestN) {
         levels_.push_back(mgCoarsen(levels_.back()));
         mgBuildProlongation(levels_[levels_.size() - 2],
                             levels_.back());
     }
-    if (numLevels() == 1 && levels_.front().n > mp_.coarsestN)
+    if (numLevels() == 1 && levels_.front().n > kCoarsestN)
         warn("multigrid on a %d-wide grid that cannot be coarsened "
              "(odd size); falling back to plain line relaxation",
              levels_.front().n);
@@ -379,29 +398,20 @@ MgSolver::cycleAt(int k, ThreadPool &pool)
 {
     MgLevel &L = levels_[static_cast<std::size_t>(k)];
     if (k == numLevels() - 1) {
-        // Coarsest level: a fixed (deterministic) relaxation count
-        // stands in for a direct solve — at <= coarsestN^2 columns it
-        // is cheap and accurate far beyond the smoother's needs.
         double d = 0.0;
-        for (int s = 0; s < mp_.coarseSweeps; ++s)
+        for (int s = 0; s < kCoarseSweeps; ++s)
             d = mgSmooth(L, pool);
         return d;
     }
-    for (int s = 0; s < mp_.preSmooth; ++s)
+    for (int s = 0; s < kPreSmooth; ++s)
         mgSmooth(L, pool);
     mgResidual(L, pool);
     mgRestrict(L, levels_[static_cast<std::size_t>(k) + 1], pool);
-    // gamma = 2 (a W-cycle) visits the coarse problem twice per pass.
-    // The aggregation coarse operator is not spectrally equivalent to
-    // the fine one, so a plain V-cycle stalls near convergence factor
-    // ~0.9 on large grids; the second visit restores ~0.35 at ~1.5x
-    // the per-cycle cost. Coarse-level work shrinks 4x per level while
-    // visits only double, so the recursion cost stays geometric.
-    for (int g = 0; g < mp_.gamma; ++g)
+    for (int g = 0; g < kCoarseVisits; ++g)
         cycleAt(k + 1, pool);
     mgProlongAdd(L, levels_[static_cast<std::size_t>(k) + 1], pool);
     double delta = 0.0;
-    for (int s = 0; s < mp_.postSmooth; ++s)
+    for (int s = 0; s < kPostSmooth; ++s)
         delta = mgSmooth(L, pool);
     return delta;
 }
@@ -412,7 +422,7 @@ MgSolver::cycle()
     ThreadPool &pool = ThreadPool::global();
     if (numLevels() == 1) {
         double d = 0.0;
-        for (int s = 0; s < mp_.preSmooth + mp_.postSmooth; ++s)
+        for (int s = 0; s < kPreSmooth + kPostSmooth; ++s)
             d = mgSmooth(levels_[0], pool);
         return d;
     }
@@ -425,13 +435,13 @@ MgSolver::solve()
     Stats s;
     double delta = 0.0;
     double prev = 0.0;
-    for (int k = 0; k < mp_.maxCycles; ++k) {
+    for (int k = 0; k < maxCycles_; ++k) {
         delta = cycle();
         s.cycles = k + 1;
         // Geometric-series error bound: with per-cycle contraction
         // rho, the remaining distance to the fixed point is at most
         // delta * rho / (1 - rho). Requiring the bound (not just the
-        // raw delta) under toleranceK makes the stop test never
+        // raw delta) under the tolerance makes the stop test never
         // looser than the legacy delta test. rho is clamped below 1
         // so a transient non-contracting cycle keeps iterating
         // instead of dividing by zero.
@@ -440,7 +450,7 @@ MgSolver::solve()
             : 0.0;
         s.contraction = rho;
         s.estErrorK = delta * rho / (1.0 - rho);
-        if (delta < mp_.toleranceK && s.estErrorK < mp_.toleranceK)
+        if (delta < toleranceK_ && s.estErrorK < toleranceK_)
             break;
         prev = delta;
     }

@@ -35,24 +35,6 @@ namespace th {
 
 class ThreadPool;
 
-/** Multigrid cycle knobs (mirrored from ThermalParams by the grid). */
-struct MgParams
-{
-    int preSmooth = 2;    ///< Smoothing passes on the way down.
-    int postSmooth = 2;   ///< Smoothing passes on the way up.
-    int coarseSweeps = 50; ///< Fixed relaxation count on the coarsest level.
-    int coarsestN = 4;    ///< Stop coarsening below this lateral size.
-    int maxCycles = 1000; ///< V-cycle cap.
-    double toleranceK = 1e-4; ///< Stop when the fine smoothing delta drops below.
-    /**
-     * Coarse visits per cycle: 1 = V-cycle, 2 = W-cycle. W is the
-     * default: the aggregation coarse operator under-corrects smooth
-     * error, and the second visit cuts the cycle convergence factor
-     * from ~0.9 to ~0.35 for ~1.5x the per-cycle work.
-     */
-    int gamma = 2;
-};
-
 /**
  * One level of the hierarchy. All field arrays use a ghost-padded
  * (nl + 2) x (n + 2) x (n + 2) layout in (layer, iy, ix) order; ghost
@@ -146,7 +128,7 @@ void mgRestrict(const MgLevel &fine, MgLevel &coarse, ThreadPool &pool);
 void mgProlongAdd(MgLevel &fine, const MgLevel &coarse, ThreadPool &pool);
 
 /**
- * V-cycle driver. Owns the level hierarchy; the conductance part is
+ * W-cycle driver. Owns the level hierarchy; the conductance part is
  * built once per grid geometry, while rhs/initial guess are reloaded
  * per solve via setProblem(). Not safe for concurrent use (the grid
  * that owns it is documented single-threaded per instance).
@@ -154,7 +136,12 @@ void mgProlongAdd(MgLevel &fine, const MgLevel &coarse, ThreadPool &pool);
 class MgSolver
 {
   public:
-    MgSolver(MgLevel fine, const MgParams &mp);
+    /**
+     * @param max_cycles   Cycle cap of solve().
+     * @param tolerance_k  solve() stops once the fine smoothing delta
+     *                     and its error bound both drop below it.
+     */
+    MgSolver(MgLevel fine, int max_cycles, double tolerance_k);
 
     int numLevels() const { return static_cast<int>(levels_.size()); }
     const MgLevel &level(int k) const
@@ -172,7 +159,7 @@ class MgSolver
          * cycle (0 when only one cycle ran). For a linearly converging
          * iteration the distance to the fixed point is bounded by
          * delta * rho / (1 - rho), so estErrorK — that bound — is
-         * what solve() tests against toleranceK: the raw delta alone
+         * what solve() tests against the tolerance: the raw delta alone
          * understates the true error by 1 / (1 - rho), a ~1.5x gap at
          * the W-cycle's typical rho ~0.35.
          */
@@ -188,10 +175,10 @@ class MgSolver
     void setProblem(const std::vector<double> &power_w,
                     const std::vector<double> *u0);
 
-    /** One V-cycle; returns the final fine post-smoothing delta (K). */
+    /** One cycle; returns the final fine post-smoothing delta (K). */
     double cycle();
 
-    /** Cycle until the delta drops below toleranceK (or maxCycles). */
+    /** Cycle until the delta drops below the tolerance (or the cap). */
     Stats solve();
 
     /** Copy the fine solution (K above ambient) into unpadded @p out. */
@@ -204,7 +191,8 @@ class MgSolver
   private:
     double cycleAt(int k, ThreadPool &pool);
 
-    MgParams mp_;
+    int maxCycles_;
+    double toleranceK_;
     std::vector<MgLevel> levels_;
 };
 

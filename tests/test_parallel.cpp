@@ -1,15 +1,13 @@
 /**
  * @file
  * Tests for the parallel execution layer: thread-pool determinism,
- * the memoizing CoreResult cache, multigrid bit-identity across thread
- * counts, and the transient-sampling regression (no duplicated final
- * sample).
+ * the memoizing CoreResult cache, and multigrid bit-identity across
+ * thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 
 #include "common/threadpool.h"
 #include "sim/experiments.h"
@@ -252,31 +250,6 @@ TEST(Multigrid, SolveStatsReportVCycles)
     EXPECT_GT(stats.vcycles, 0);
     EXPECT_EQ(stats.iterations, stats.vcycles);
     EXPECT_LT(stats.residualK, p.maxResidualK);
-}
-
-TEST(TransientSampling, NoDuplicateSamples)
-{
-    ThermalParams p;
-    p.gridN = 12;
-    p.maxResidualK = 1e-3;
-    ThermalGrid grid(p, HotspotModel::stackedStack(), 6.0, 6.0);
-    grid.addPower(0, 0.0, 0.0, 6.0, 6.0, 10.0);
-    const ThermalField init(
-        p.gridN, static_cast<int>(HotspotModel::stackedStack().size()),
-        p.ambientK);
-
-    // Several duration/samples shapes, including ones where the step
-    // count is an exact multiple of the sampling stride.
-    for (int samples : {1, 2, 3, 7, 50}) {
-        const auto tr = grid.solveTransient(init, 0.004, 1e-4, samples);
-        ASSERT_FALSE(tr.timeS.empty());
-        EXPECT_EQ(tr.timeS.size(), tr.peakK.size());
-        std::set<double> unique(tr.timeS.begin(), tr.timeS.end());
-        EXPECT_EQ(unique.size(), tr.timeS.size())
-            << "duplicate sample at samples=" << samples;
-        for (size_t i = 1; i < tr.timeS.size(); ++i)
-            EXPECT_GT(tr.timeS[i], tr.timeS[i - 1]);
-    }
 }
 
 } // namespace

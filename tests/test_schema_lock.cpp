@@ -5,11 +5,12 @@
  *  - the committed tools/th_lint/schema.lock must match fingerprints
  *    regenerated from the live sources (so an unintentional codec
  *    change fails ctest, not just the lint CI job);
- *  - a perturbation test proves the teeth: reordering two codec field
- *    writes without bumping the guard constant — kWireSchemaVersion for
- *    SimRequest, kStoreSchemaVersion for CoreResult — produces a
- *    finding that names both the struct and the constant, while the
- *    same edit *with* a bump asks only for a lock regeneration.
+ *  - perturbation tests prove the teeth: reordering two codec field
+ *    writes, or changing a serialized member's declared type, without
+ *    bumping the guard constant — kWireSchemaVersion for SimRequest,
+ *    kStoreSchemaVersion for CoreResult — produces a finding that
+ *    names both the struct and the constant, while the same edit
+ *    *with* a bump asks only for a lock regeneration.
  *
  * The tests drive the linter in-process through th_lint_lib rather
  * than shelling out, so failures carry the full diagnostic text.
@@ -138,6 +139,21 @@ class SchemaPerturbation : public ::testing::Test
         writeFile(p, text);
     }
 
+    /** Widen SimRequest::deadlineMs to 64 bits — the same field name
+     *  and codec references under a new declared type. */
+    void widenDeadlineMs()
+    {
+        const fs::path p = root_ / "src/io/request.h";
+        std::string text = readFile(p);
+        const std::string from = "std::uint32_t deadlineMs = 0;";
+        const std::size_t pos = text.find(from);
+        ASSERT_NE(pos, std::string::npos)
+            << "SimRequest no longer declares a 32-bit deadlineMs; "
+               "update this test's perturbation";
+        text.replace(pos, from.size(), "std::uint64_t deadlineMs = 0;");
+        writeFile(p, text);
+    }
+
     void bumpWireSchemaVersion()
     {
         const fs::path p = root_ / "src/io/request.h";
@@ -191,6 +207,17 @@ TEST_F(SchemaPerturbation, ReorderWithoutBumpIsAnError)
     // carries in its header; no other constant may excuse the drift.
     EXPECT_NE(drift.find("CoreResult"), std::string::npos) << drift;
     EXPECT_NE(drift.find("without a bump of kStoreSchemaVersion;"),
+              std::string::npos)
+        << drift;
+}
+
+TEST_F(SchemaPerturbation, TypeChangeWithoutBumpIsAnError)
+{
+    widenDeadlineMs();
+    const auto diags = th_lint::runChecks(opts_);
+    const std::string drift = findingsOf(diags, "schema-drift");
+    EXPECT_NE(drift.find("SimRequest"), std::string::npos) << drift;
+    EXPECT_NE(drift.find("without a bump of kWireSchemaVersion"),
               std::string::npos)
         << drift;
 }

@@ -57,7 +57,7 @@ TEST_F(SystemTest, ThermalReportSane)
     System &sys = *sys_;
     const Evaluation ev = sys.evaluate("gzip", ConfigKind::Base);
     const ThermalReport rep = sys.thermal(ev);
-    EXPECT_GT(rep.peakK, sys.hotspot().params().ambientK);
+    EXPECT_GT(rep.peakK, kAmbientK);
     EXPECT_LT(rep.peakK, 500.0);
 }
 

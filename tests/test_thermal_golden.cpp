@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden field digests for the exact thermal kernels. Every field that
- * the SOR steady solver (cold and warm), the explicit TransientStepper
- * and solveTransient produce is hashed whole, bit for bit, over a
+ * the SOR steady solver (cold and warm) and the explicit
+ * TransientStepper (split across a power change, and sampled from
+ * ambient) produce is hashed whole, bit for bit, over a
  * spread of geometries: planar and stacked stacks, odd and even grid
  * sizes, generated 1-4 core floorplans under the multicore spreader
  * rule, and a chip that fills the spreader so material touches every
@@ -301,15 +302,16 @@ kernelDigests(const GoldenRow &row)
 
     // From ambient: 150 steps sampled every 21, so the last sample
     // closes a short segment.
-    const ThermalField ambient(p.gridN, layers, p.ambientK);
-    const ThermalGrid::Transient tr =
-        grid.solveTransient(ambient, 150.5 * dt, dt, 7);
+    TransientStepper from_ambient(grid, ThermalField(p.gridN, layers), dt);
+    const std::vector<int> die_layers = grid.dieLayers();
     Digest tr_d;
-    for (size_t i = 0; i < tr.timeS.size(); ++i) {
-        tr_d.add(tr.timeS[i]);
-        tr_d.add(tr.peakK[i]);
+    for (const std::int64_t to : {21, 42, 63, 84, 105, 126, 147, 150}) {
+        from_ambient.advance(
+            static_cast<double>(to - from_ambient.steps()) * dt);
+        tr_d.add(from_ambient.timeS());
+        tr_d.add(from_ambient.field().peak(die_layers));
     }
-    tr_d.add(tr.final);
+    tr_d.add(from_ambient.field());
     out.push_back(tr_d.value());
     return out;
 }

@@ -31,7 +31,7 @@ TEST(ThermalGrid, NoPowerStaysAmbient)
     const ThermalParams p = fastParams();
     ThermalGrid grid = makePlanarGrid(p);
     const ThermalField f = grid.solve();
-    EXPECT_NEAR(f.peak(grid.dieLayers()), p.ambientK, 0.5);
+    EXPECT_NEAR(f.peak(grid.dieLayers()), kAmbientK, 0.5);
 }
 
 TEST(ThermalGrid, PowerHeatsTheDie)
@@ -40,7 +40,7 @@ TEST(ThermalGrid, PowerHeatsTheDie)
     ThermalGrid grid = makePlanarGrid(p);
     grid.addPower(0, 4.0, 4.0, 4.0, 4.0, 50.0);
     const ThermalField f = grid.solve();
-    EXPECT_GT(f.peak(grid.dieLayers()), p.ambientK + 10.0);
+    EXPECT_GT(f.peak(grid.dieLayers()), kAmbientK + 10.0);
 }
 
 TEST(ThermalGrid, MorePowerIsHotter)
@@ -259,8 +259,7 @@ TEST(Multigrid, VCycleReducesResidualMonotonically)
             }
         }
     }
-    MgParams mp;
-    MgSolver solver(mgFineLevel(n, nl, gr, gd, gb, ga), mp);
+    MgSolver solver(mgFineLevel(n, nl, gr, gd, gb, ga), 1000, 1e-4);
     EXPECT_GE(solver.numLevels(), 2);
 
     std::vector<double> rhs(cells, 0.0);

@@ -89,6 +89,9 @@ bool hasGuardsMarker(const SourceFile &sf, int line);
 struct Field
 {
     std::string name;
+    /** Declared type: the tokens before the name, written without
+     *  spaces except between two identifiers ("std::uint32_t"). */
+    std::string type;
     int line = 0;
     bool excluded = false;
 };

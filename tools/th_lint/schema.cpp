@@ -3,10 +3,11 @@
  * Schema-drift pass: turns the "bump on change" comments next to the
  * wire/store schema constants into an enforced rule. For every
  * serialized struct in the coverage table the pass fingerprints the
- * declared field list *and* the ordered field references inside each
- * encode/decode function (so a reorder drifts, not just an add or
- * drop), then compares fingerprint + guard-constant values against the
- * committed tools/th_lint/schema.lock:
+ * declared field list with each field's declared type *and* the
+ * ordered field references inside each encode/decode function (so a
+ * reorder or a type change drifts, not just an add or drop), then
+ * compares fingerprint + guard-constant values against the committed
+ * tools/th_lint/schema.lock:
  *
  *  - fingerprint changed, guard constants unchanged  → ERROR naming
  *    the struct and the constant that should have been bumped;
@@ -189,7 +190,7 @@ computeEntry(FileSet &files, const SchemaGuard &guard, Entry &out,
         if (f.excluded)
             continue;
         fieldNames.insert(f.name);
-        canon += "field " + f.name + "\n";
+        canon += "field " + f.type + " " + f.name + "\n";
     }
     for (const FnRef &fn : rule->fns) {
         const SourceFile &ff = files.get(fn.file);

@@ -302,7 +302,29 @@ looksLikeFunction(const std::vector<Token> &stmt)
 
 namespace {
 
-/** Extract declarator names from one member statement. */
+/** Tokens [@p first, @p last) as written, with a space only between
+ *  two identifiers. */
+std::string
+joinTokens(std::vector<Token>::const_iterator first,
+           std::vector<Token>::const_iterator last)
+{
+    std::string s;
+    bool prevIdent = false;
+    for (; first != last; ++first) {
+        const bool ident = first->kind == Tok::Ident;
+        if (ident && prevIdent)
+            s += ' ';
+        s += first->text;
+        prevIdent = ident;
+    }
+    return s;
+}
+
+/**
+ * Extract declarators from one member statement, each with its type:
+ * the first declarator's leading tokens, plus a later declarator's own
+ * (a '*', say) in `T a, *b;`.
+ */
 void
 namesFromStatement(const std::vector<Token> &stmt, const SourceFile &sf,
                    std::vector<Field> &out)
@@ -336,10 +358,13 @@ namesFromStatement(const std::vector<Token> &stmt, const SourceFile &sf,
         chunks.back().push_back(t);
     }
 
-    for (const auto &chunk : chunks) {
-        const Token *name = nullptr;
+    std::string baseType;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+        const auto &chunk = chunks[c];
+        auto name = chunk.end();
         depth = 0;
-        for (const Token &t : chunk) {
+        for (auto it = chunk.begin(); it != chunk.end(); ++it) {
+            const Token &t = *it;
             if (t.kind == Tok::Punct && depth == 0 &&
                 (t.text == "=" || t.text == "{}" || t.text == "["))
                 break;
@@ -351,12 +376,15 @@ namesFromStatement(const std::vector<Token> &stmt, const SourceFile &sf,
                     depth = std::max(0, depth - 1);
             }
             if (t.kind == Tok::Ident && depth == 0)
-                name = &t;
+                name = it;
         }
-        if (name == nullptr)
+        if (name == chunk.end())
             continue;
-        out.push_back(
-            {name->text, name->line, isExcluded(sf, name->line)});
+        const std::string own = joinTokens(chunk.begin(), name);
+        if (c == 0)
+            baseType = own;
+        out.push_back({name->text, c == 0 ? own : baseType + own,
+                       name->line, isExcluded(sf, name->line)});
     }
 }
 
