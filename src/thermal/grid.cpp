@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/log.h"
 #include "thermal/multigrid.h"
@@ -10,41 +11,28 @@
 namespace th {
 
 /**
- * Geometry-only copy of ThermalGrid::Network that the exact kernels
- * (SOR sweeps, explicit Euler) read. Every array is padded with one
- * guard cell on both sides of each axis, in MgLevel's (layer, iy, ix)
- * layout; guard entries hold zero conductance, so a missing neighbour
- * is a term that adds exactly 0 and no cell update branches on a
- * boundary. Each kernel visits only its material cells, listed as
- * spans of consecutive columns (DESIGN.md section 17).
+ * The grid's RC network: the conductances on the padded layout that
+ * every level of the multigrid hierarchy shares, plus what the other
+ * kernels read, all on that layout and built once per grid. Each kernel
+ * visits only its material cells, listed as spans of consecutive
+ * columns (DESIGN.md section 17).
  */
-struct PaddedNetwork
+struct GridNetwork : PaddedNetwork
 {
-    int n = 0;
-    int nl = 0;
-    int pn = 0;            ///< Padded row stride, n + 2.
-    std::size_t plane = 0; ///< Padded plane size, pn * pn.
-    std::size_t cells = 0; ///< Padded total, (nl + 2) * plane.
-
-    /** Padded flat index of real cell (l, ix, iy). */
-    std::size_t at(int l, int ix, int iy) const
-    {
-        return (static_cast<std::size_t>(l + 1) * pn + (iy + 1)) * pn +
-               (ix + 1);
-    }
-
-    std::vector<double> gRight, gDown, gBelow, gAmb;
+    /** Thermal capacitance per cell (J/K); 0 on air and guards. */
+    std::vector<double> cap;
     /** 1 / sum(G), or 0 for isolated (air) cells. */
     std::vector<double> invG;
+    /** Injected power per cell (W), as addPower() deposits it. */
+    std::vector<double> pIn;
 
     /** Consecutive visited cells of one (layer, iy) row. */
     struct Span
     {
         std::size_t cell; ///< Padded index of the first cell.
-        std::size_t flat; ///< Its ThermalField / Network index.
         int len;
     };
-    /** Cells the explicit kernel steps (C > 0), row by row. */
+    /** Cells the transient schemes step (C > 0), row by row. */
     std::vector<Span> stepSpans;
     /** Cells the SOR sweep updates (sum G > 0), in lexicographic
      *  order. */
@@ -102,12 +90,13 @@ constexpr int kMaxIterations = 200000;
 
 /**
  * One SOR update of padded cell @p c: the same expression and
- * addition order as a sweep over the unpadded network, with every
- * neighbour term present (a guard or air neighbour has G = 0 and adds
- * exactly 0). @p src holds gAmb * T_ambient + P. Returns |delta|.
+ * addition order as a per-cell sweep that skips absent neighbours,
+ * with every neighbour term present (a guard or air neighbour has
+ * G = 0 and adds exactly 0). @p src holds gAmb * T_ambient + P.
+ * Returns |delta|.
  */
 inline double
-sorCell(const PaddedNetwork &g, const double *src, double *t,
+sorCell(const GridNetwork &g, const double *src, double *t,
         std::size_t c, double omega)
 {
     const double *gr = g.gRight.data();
@@ -139,7 +128,7 @@ sorCell(const PaddedNetwork &g, const double *src, double *t,
  * dependency chains overlap. Returns the largest |delta|.
  */
 double
-sorRows(const PaddedNetwork &g, const double *src, double *t,
+sorRows(const GridNetwork &g, const double *src, double *t,
         std::size_t first, int len, int rows, double omega)
 {
     double lane_max[kSkewRows] = {};
@@ -178,30 +167,29 @@ load(const double *p)
 /**
  * @p steps explicit-Euler steps over the padded double buffer: each
  * step reads @p cur and writes every material cell of @p next with
- * T + dt/C * (sum G*(Tn - T) + P), terms in the unpadded sweep's
+ * T + dt/C * (sum G*(Tn - T) + P), terms in the per-cell loop's
  * order, two cells at a time; then the buffers swap. Air and guard
  * cells are never written, so both buffers keep their values.
  */
 void
-explicitSteps(const PaddedNetwork &g, const double *p_in,
-              const double *rate, double *&cur, double *&next,
-              std::int64_t steps)
+explicitSteps(const GridNetwork &g, const double *rate, double *&cur,
+              double *&next, std::int64_t steps)
 {
     const double *gr = g.gRight.data();
     const double *gd = g.gDown.data();
     const double *gb = g.gBelow.data();
     const double *ga = g.gAmb.data();
+    const double *p_in = g.pIn.data();
     const auto pn = static_cast<std::size_t>(g.pn);
     const std::size_t plane = g.plane;
     for (std::int64_t s = 0; s < steps; ++s) {
         const double *t = cur;
         double *out = next;
         // Cell c (a double) or cells c and c + 1 (a Lanes2).
-        const auto update = [&](auto lanes, std::size_t c,
-                                const double *pin) {
+        const auto update = [&](auto lanes, std::size_t c) {
             using V = decltype(lanes);
             const V tc = load<V>(t + c);
-            V flow = load<V>(ga + c) * (kAmbientK - tc) + load<V>(pin);
+            V flow = load<V>(ga + c) * (kAmbientK - tc) + load<V>(p_in + c);
             flow += load<V>(gr + c - 1) * (load<V>(t + c - 1) - tc);
             flow += load<V>(gr + c) * (load<V>(t + c + 1) - tc);
             flow += load<V>(gd + c - pn) * (load<V>(t + c - pn) - tc);
@@ -211,17 +199,118 @@ explicitSteps(const PaddedNetwork &g, const double *p_in,
             const V t_next = tc + load<V>(rate + c) * flow;
             std::memcpy(out + c, &t_next, sizeof t_next);
         };
-        for (const PaddedNetwork::Span &sp : g.stepSpans) {
-            const double *pin = p_in + sp.flat;
+        for (const GridNetwork::Span &sp : g.stepSpans) {
             int i = 0;
             for (; i + 2 <= sp.len; i += 2)
-                update(Lanes2{}, sp.cell + static_cast<std::size_t>(i),
-                       pin + i);
+                update(Lanes2{}, sp.cell + static_cast<std::size_t>(i));
             if (i < sp.len)
-                update(0.0, sp.cell + static_cast<std::size_t>(i), pin + i);
+                update(0.0, sp.cell + static_cast<std::size_t>(i));
         }
         std::swap(cur, next);
     }
+}
+
+/**
+ * @p steps VerticalImplicit steps in place on the padded field @p t.
+ * Each step first writes every material cell's right-hand side into
+ * @p rhs from the pre-step field: the storage term C/dt * T, the
+ * constant parts of the implicit terms (ambient sink, injected power)
+ * and the lateral flux, with every neighbour term present. Then it
+ * advances each (ix, iy) column, stride plane, by one backward-Euler
+ * solve of its vertical conduction + ambient convection chain:
+ *   (C/dt + gAmb + gUp + gDown) T' - gUp T'_up - gDown T'_dn = rhs.
+ * Air cells are identity rows (their couplings are zero, so the chain
+ * decouples across them and they keep their temperature, as under
+ * explicit Euler). Thomas algorithm; columns are independent. @p c_dt
+ * holds each material cell's C / dt, and 0 elsewhere.
+ */
+void
+imexSteps(const GridNetwork &g, const double *c_dt, double *t,
+          double *rhs, std::int64_t steps)
+{
+    const double *gr = g.gRight.data();
+    const double *gd = g.gDown.data();
+    const double *gb = g.gBelow.data();
+    const double *ga = g.gAmb.data();
+    const double *p_in = g.pIn.data();
+    const auto pn = static_cast<std::size_t>(g.pn);
+    const std::size_t plane = g.plane;
+    const auto nl = static_cast<std::size_t>(g.nl);
+    std::vector<double> diag(nl), upper(nl), col(nl);
+    for (std::int64_t s = 0; s < steps; ++s) {
+        for (const GridNetwork::Span &sp : g.stepSpans) {
+            const std::size_t end =
+                sp.cell + static_cast<std::size_t>(sp.len);
+            for (std::size_t c = sp.cell; c < end; ++c) {
+                const double tc = t[c];
+                double r = c_dt[c] * tc + ga[c] * kAmbientK + p_in[c];
+                r += gr[c - 1] * (t[c - 1] - tc);
+                r += gr[c] * (t[c + 1] - tc);
+                r += gd[c - pn] * (t[c - pn] - tc);
+                r += gd[c] * (t[c + pn] - tc);
+                rhs[c] = r;
+            }
+        }
+        for (int iy = 0; iy < g.n; ++iy) {
+            for (int ix = 0; ix < g.n; ++ix) {
+                const std::size_t top = g.at(0, ix, iy);
+                for (std::size_t l = 0; l < nl; ++l) {
+                    const std::size_t c = top + l * plane;
+                    if (c_dt[c] <= 0.0) {
+                        diag[l] = 1.0;
+                        upper[l] = 0.0;
+                        col[l] = t[c];
+                        continue;
+                    }
+                    diag[l] = c_dt[c] + ga[c] + gb[c - plane] + gb[c];
+                    upper[l] = -gb[c];
+                    col[l] = rhs[c];
+                }
+                // Forward elimination (the sub-diagonal of row l is the
+                // upper coupling of row l-1 by symmetry), then
+                // back-substitution straight into the field.
+                for (std::size_t l = 1; l < nl; ++l) {
+                    const double w = -upper[l - 1] / diag[l - 1];
+                    diag[l] += w * upper[l - 1];
+                    col[l] += w * col[l - 1];
+                }
+                double t_below = col[nl - 1] / diag[nl - 1];
+                t[top + (nl - 1) * plane] = t_below;
+                for (std::size_t l = nl - 1; l-- > 0;) {
+                    t_below = (col[l] - upper[l] * t_below) / diag[l];
+                    t[top + l * plane] = t_below;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The largest dt <= @p dt_s with dt <= 0.4 * C / sum(G) on every
+ * material cell. Explicit Euler sums every coupling; VerticalImplicit
+ * integrates vertical conduction and ambient convection implicitly,
+ * so only its lateral couplings bound the step — typically 1000x the
+ * explicit bound on a thinned stack.
+ */
+double
+stableDt(const GridNetwork &g, double dt_s, TransientScheme scheme)
+{
+    if (dt_s <= 0.0)
+        fatal("transient step must be positive (got %g)", dt_s);
+    const auto pn = static_cast<std::size_t>(g.pn);
+    double dt = dt_s;
+    for (const GridNetwork::Span &sp : g.stepSpans) {
+        const std::size_t end = sp.cell + static_cast<std::size_t>(sp.len);
+        for (std::size_t c = sp.cell; c < end; ++c) {
+            const double sum = scheme == TransientScheme::Explicit
+                ? g.conductanceSum(c)
+                : g.gRight[c - 1] + g.gRight[c] + g.gDown[c - pn] +
+                    g.gDown[c];
+            if (sum > 0.0)
+                dt = std::min(dt, 0.4 * g.cap[c] / sum);
+        }
+    }
+    return dt;
 }
 
 } // namespace
@@ -293,15 +382,7 @@ ThermalGrid::ThermalGrid(const ThermalParams &params,
     chip_x0_ = (params_.spreaderMm - chip_w_) / 2.0;
     chip_y0_ = (params_.spreaderMm - chip_h_) / 2.0;
     cell_mm_ = params_.spreaderMm / static_cast<double>(params_.gridN);
-
-    int dies = 0;
-    for (const auto &l : layers_)
-        if (l.dieIndex >= 0)
-            dies = std::max(dies, l.dieIndex + 1);
-    power_.assign(static_cast<size_t>(dies),
-                  std::vector<double>(
-                      static_cast<size_t>(params_.gridN) * params_.gridN,
-                      0.0));
+    buildNetwork();
 }
 
 // Out of line: MgSolver is incomplete in the header.
@@ -358,8 +439,9 @@ void
 ThermalGrid::addPower(int die, double x, double y, double w, double h,
                       double watts)
 {
-    if (die < 0 || die >= static_cast<int>(power_.size()))
-        fatal("addPower to die %d of %zu", die, power_.size());
+    const int l = dieLayer(die);
+    if (l < 0)
+        fatal("addPower to missing die %d", die);
     if (watts <= 0.0 || w <= 0.0 || h <= 0.0)
         return;
     // Normalise by the rect's own area so the whole wattage lands even
@@ -370,30 +452,22 @@ ThermalGrid::addPower(int die, double x, double y, double w, double h,
     });
     if (covered <= 0.0)
         return;
-    auto &p = power_[static_cast<size_t>(die)];
+    GridNetwork &g = *net_;
     forEachCellInRect(x, y, w, h, [&](int ix, int iy, double f) {
-        p[static_cast<size_t>(iy) * params_.gridN + ix] +=
-            watts * f / covered;
+        g.pIn[g.at(l, ix, iy)] += watts * f / covered;
     });
-    power_dirty_ = true;
 }
 
 void
 ThermalGrid::clearPower()
 {
-    for (auto &p : power_)
-        std::fill(p.begin(), p.end(), 0.0);
-    power_dirty_ = true;
+    std::fill(net_->pIn.begin(), net_->pIn.end(), 0.0);
 }
 
 double
 ThermalGrid::totalPower() const
 {
-    double t = 0.0;
-    for (const auto &p : power_)
-        for (double w : p)
-            t += w;
-    return t;
+    return std::accumulate(net_->pIn.begin(), net_->pIn.end(), 0.0);
 }
 
 int
@@ -416,30 +490,22 @@ ThermalGrid::dieLayers() const
 }
 
 /**
- * Build the geometry-dependent half of the RC network: conductances,
- * capacitances, and the per-cell conductance sums. These never change
- * after construction, so they are computed once and shared by every
- * steady-state and transient solve (and every leakage-feedback round).
+ * Build the RC network: conductances, capacitances and SOR's inverse
+ * conductance sums, written once into the padded layout, then the
+ * kernels' visiting plans. Only the injected power changes afterwards.
  */
 void
-ThermalGrid::buildConductances() const
+ThermalGrid::buildNetwork()
 {
-    Network &net = net_;
-    net.n = params_.gridN;
-    net.nl = static_cast<int>(layers_.size());
-    const int n = net.n;
-    const int nl = net.nl;
+    net_ = std::make_unique<GridNetwork>();
+    GridNetwork &g = *net_;
+    g.resize(params_.gridN, static_cast<int>(layers_.size()));
+    const int n = g.n;
+    const int nl = g.nl;
+    for (auto *a : {&g.cap, &g.invG, &g.pIn})
+        a->assign(g.cells, 0.0);
     const double cell_m = cell_mm_ * 1e-3;
     const double area_m2 = cell_m * cell_m;
-
-    const size_t cells = static_cast<size_t>(nl) * n * n;
-    net.gRight.assign(cells, 0.0);
-    net.gDown.assign(cells, 0.0);
-    net.gBelow.assign(cells, 0.0);
-    net.gAmb.assign(cells, 0.0);
-    net.gSum.assign(cells, 0.0);
-    net.cap.assign(cells, 0.0);
-    net.pIn.assign(cells, 0.0);
 
     for (int l = 0; l < nl; ++l) {
         const ThermalLayer &layer = layers_[static_cast<size_t>(l)];
@@ -448,19 +514,19 @@ ThermalGrid::buildConductances() const
         for (int iy = 0; iy < n; ++iy) {
             for (int ix = 0; ix < n; ++ix) {
                 const double k1 = cellK(l, ix, iy);
-                const size_t c = net.idx(l, ix, iy);
+                const size_t c = g.at(l, ix, iy);
                 if (k1 > 0.0)
-                    net.cap[c] = cell_vol * layer.volHeatCapacity;
+                    g.cap[c] = cell_vol * layer.volHeatCapacity;
                 // Lateral (square cells: G = k * t).
                 if (ix + 1 < n) {
                     const double k2 = cellK(l, ix + 1, iy);
                     if (k1 > 0.0 && k2 > 0.0)
-                        net.gRight[c] = t_m * 2.0 * k1 * k2 / (k1 + k2);
+                        g.gRight[c] = t_m * 2.0 * k1 * k2 / (k1 + k2);
                 }
                 if (iy + 1 < n) {
                     const double k2 = cellK(l, ix, iy + 1);
                     if (k1 > 0.0 && k2 > 0.0)
-                        net.gDown[c] = t_m * 2.0 * k1 * k2 / (k1 + k2);
+                        g.gDown[c] = t_m * 2.0 * k1 * k2 / (k1 + k2);
                 }
                 // Vertical to the next layer down.
                 if (l + 1 < nl) {
@@ -471,7 +537,7 @@ ThermalGrid::buildConductances() const
                     if (k1 > 0.0 && k2 > 0.0) {
                         const double r = t_m / (2.0 * k1 * area_m2) +
                             t2_m / (2.0 * k2 * area_m2);
-                        net.gBelow[c] = 1.0 / r;
+                        g.gBelow[c] = 1.0 / r;
                     }
                 }
             }
@@ -483,76 +549,32 @@ ThermalGrid::buildConductances() const
         (1.0 / kConvectionKPerW) / static_cast<double>(n * n);
     for (int iy = 0; iy < n; ++iy)
         for (int ix = 0; ix < n; ++ix)
-            net.gAmb[net.idx(0, ix, iy)] = g_cell_conv;
+            g.gAmb[g.at(0, ix, iy)] = g_cell_conv;
 
     // Per-cell conductance sums are loop-invariant: hoist them out of
-    // the solver sweeps (the seed recomputed them every SOR iteration).
-    const size_t plane = static_cast<size_t>(n) * n;
+    // the solver sweeps.
     for (int l = 0; l < nl; ++l) {
         for (int iy = 0; iy < n; ++iy) {
             for (int ix = 0; ix < n; ++ix) {
-                const size_t c = net.idx(l, ix, iy);
-                double g = net.gAmb[c];
-                if (ix > 0)
-                    g += net.gRight[c - 1];
-                if (ix + 1 < n)
-                    g += net.gRight[c];
-                if (iy > 0)
-                    g += net.gDown[c - n];
-                if (iy + 1 < n)
-                    g += net.gDown[c];
-                if (l > 0)
-                    g += net.gBelow[c - plane];
-                if (l + 1 < nl)
-                    g += net.gBelow[c];
-                net.gSum[c] = g;
-            }
-        }
-    }
-}
-
-/** Build the padded copy and the kernels' visiting plans from net_. */
-void
-ThermalGrid::buildPadded() const
-{
-    const Network &net = net_;
-    auto pad = std::make_unique<PaddedNetwork>();
-    PaddedNetwork &g = *pad;
-    const int n = net.n;
-    const int nl = net.nl;
-    g.n = n;
-    g.nl = nl;
-    g.pn = n + 2;
-    g.plane = static_cast<size_t>(g.pn) * g.pn;
-    g.cells = static_cast<size_t>(nl + 2) * g.plane;
-    for (auto *a : {&g.gRight, &g.gDown, &g.gBelow, &g.gAmb, &g.invG})
-        a->assign(g.cells, 0.0);
-    for (int l = 0; l < nl; ++l) {
-        for (int iy = 0; iy < n; ++iy) {
-            for (int ix = 0; ix < n; ++ix) {
-                const size_t c = net.idx(l, ix, iy);
-                const size_t pc = g.at(l, ix, iy);
-                g.gRight[pc] = net.gRight[c];
-                g.gDown[pc] = net.gDown[c];
-                g.gBelow[pc] = net.gBelow[c];
-                g.gAmb[pc] = net.gAmb[c];
-                g.invG[pc] = net.gSum[c] > 0.0 ? 1.0 / net.gSum[c] : 0.0;
+                const size_t c = g.at(l, ix, iy);
+                const double sum = g.conductanceSum(c);
+                g.invG[c] = sum > 0.0 ? 1.0 / sum : 0.0;
             }
         }
     }
 
-    // Spans of the cells of row (l, iy) that visit(ix) accepts.
+    // Spans of the cells of row (l, iy) that visit(c) accepts.
     const auto addSpans = [&](int l, int iy, auto visit,
-                              std::vector<PaddedNetwork::Span> &out) {
+                              std::vector<GridNetwork::Span> &out) {
         for (int ix = 0; ix < n;) {
-            if (!visit(ix)) {
+            if (!visit(g.at(l, ix, iy))) {
                 ++ix;
                 continue;
             }
             int end = ix + 1;
-            while (end < n && visit(end))
+            while (end < n && visit(g.at(l, end, iy)))
                 ++end;
-            out.push_back({g.at(l, ix, iy), net.idx(l, ix, iy), end - ix});
+            out.push_back({g.at(l, ix, iy), end - ix});
             ix = end;
         }
     };
@@ -561,12 +583,10 @@ ThermalGrid::buildPadded() const
     for (int l = 0; l < nl; ++l) {
         for (int iy = 0; iy < n; ++iy) {
             sor_row.push_back(g.sorSpans.size());
-            addSpans(l, iy, [&](int ix) {
-                return net.cap[net.idx(l, ix, iy)] > 0.0;
-            }, g.stepSpans);
-            addSpans(l, iy, [&](int ix) {
-                return g.invG[g.at(l, ix, iy)] != 0.0;
-            }, g.sorSpans);
+            addSpans(l, iy, [&](size_t c) { return g.cap[c] > 0.0; },
+                     g.stepSpans);
+            addSpans(l, iy, [&](size_t c) { return g.invG[c] != 0.0; },
+                     g.sorSpans);
         }
     }
     sor_row.push_back(g.sorSpans.size());
@@ -585,11 +605,11 @@ ThermalGrid::buildPadded() const
             ++r;
             continue;
         }
-        const PaddedNetwork::Span &top = g.sorSpans[sor_row[r]];
+        const GridNetwork::Span &top = g.sorSpans[sor_row[r]];
         size_t k = 1;
         while (k < kSkewRows && r + k < rows &&
                (r + k) % static_cast<size_t>(n) != 0 && single(r + k)) {
-            const PaddedNetwork::Span &next = g.sorSpans[sor_row[r + k]];
+            const GridNetwork::Span &next = g.sorSpans[sor_row[r + k]];
             if (next.len != top.len ||
                 next.cell != top.cell + k * static_cast<size_t>(g.pn))
                 break;
@@ -598,47 +618,6 @@ ThermalGrid::buildPadded() const
         g.sorGroups.push_back({sor_row[r], static_cast<int>(k)});
         r += k;
     }
-    padded_ = std::move(pad);
-}
-
-/** Rebuild only the injected-power vector from the deposited map. */
-void
-ThermalGrid::refreshPower() const
-{
-    Network &net = net_;
-    const int n = net.n;
-    std::fill(net.pIn.begin(), net.pIn.end(), 0.0);
-    for (size_t die = 0; die < power_.size(); ++die) {
-        const int l = dieLayer(static_cast<int>(die));
-        if (l < 0)
-            panic("power deposited on missing die %zu", die);
-        for (int iy = 0; iy < n; ++iy)
-            for (int ix = 0; ix < n; ++ix)
-                net.pIn[net.idx(l, ix, iy)] +=
-                    power_[die][static_cast<size_t>(iy) * n + ix];
-    }
-}
-
-const ThermalGrid::Network &
-ThermalGrid::network() const
-{
-    if (!net_built_) {
-        buildConductances();
-        buildPadded();
-        net_built_ = true;
-    }
-    if (power_dirty_) {
-        refreshPower();
-        power_dirty_ = false;
-    }
-    return net_;
-}
-
-const PaddedNetwork &
-ThermalGrid::padded() const
-{
-    network();
-    return *padded_;
 }
 
 ThermalField
@@ -646,14 +625,11 @@ ThermalGrid::solve(SolveStats *stats, const ThermalField *warm_start) const
 {
     if (params_.solver == SolverKind::Multigrid)
         return solveMultigrid(stats, warm_start);
-    const int n = params_.gridN;
-    const int nl = static_cast<int>(layers_.size());
-    const Network &net = network();
-    const PaddedNetwork &g = padded();
+    const GridNetwork &g = *net_;
 
-    ThermalField field(n, nl);
+    ThermalField field(g.n, g.nl);
     if (warm_start != nullptr) {
-        if (warm_start->gridN() != n || warm_start->layers() != nl)
+        if (warm_start->gridN() != g.n || warm_start->layers() != g.nl)
             fatal("warm-start field has the wrong geometry");
         field = *warm_start;
     }
@@ -661,18 +637,18 @@ ThermalGrid::solve(SolveStats *stats, const ThermalField *warm_start) const
     // Each cell's first term, gAmb * T_ambient + P, is fixed for the
     // whole solve.
     std::vector<double> src(g.cells, 0.0);
-    for (const PaddedNetwork::Span &sp : g.sorSpans)
-        for (int i = 0; i < sp.len; ++i)
-            src[sp.cell + static_cast<size_t>(i)] =
-                g.gAmb[sp.cell + static_cast<size_t>(i)] * kAmbientK +
-                net.pIn[sp.flat + static_cast<size_t>(i)];
+    for (const GridNetwork::Span &sp : g.sorSpans)
+        for (int i = 0; i < sp.len; ++i) {
+            const size_t c = sp.cell + static_cast<size_t>(i);
+            src[c] = g.gAmb[c] * kAmbientK + g.pIn[c];
+        }
 
     int iter = 0;
     double max_delta = 0.0;
     for (; iter < kMaxIterations; ++iter) {
         max_delta = 0.0;
-        for (const PaddedNetwork::Group &grp : g.sorGroups) {
-            const PaddedNetwork::Span &sp = g.sorSpans[grp.span];
+        for (const GridNetwork::Group &grp : g.sorGroups) {
+            const GridNetwork::Span &sp = g.sorSpans[grp.span];
             max_delta = std::max(
                 max_delta, sorRows(g, src.data(), t.data(), sp.cell,
                                    sp.len, grp.rows, kSorOmega));
@@ -686,7 +662,6 @@ ThermalGrid::solve(SolveStats *stats, const ThermalField *warm_start) const
     if (stats != nullptr) {
         stats->iterations = std::min(iter + 1, kMaxIterations);
         stats->residualK = max_delta;
-        stats->vcycles = 0;
         stats->contraction = 0.0;
         stats->estErrorK = max_delta;
     }
@@ -705,26 +680,20 @@ ThermalField
 ThermalGrid::solveMultigrid(SolveStats *stats,
                             const ThermalField *warm_start) const
 {
-    const int n = params_.gridN;
-    const int nl = static_cast<int>(layers_.size());
-    const Network &net = network();
-    const size_t cells = static_cast<size_t>(nl) * n * n;
-
+    const GridNetwork &g = *net_;
     if (!mg_)
-        mg_ = std::make_unique<MgSolver>(
-            mgFineLevel(n, nl, net.gRight, net.gDown, net.gBelow,
-                        net.gAmb),
-            kMaxIterations, params_.maxResidualK);
+        mg_ = std::make_unique<MgSolver>(mgFineLevel(g), kMaxIterations,
+                                         params_.maxResidualK);
 
     std::vector<double> u0;
     if (warm_start != nullptr) {
-        if (warm_start->gridN() != n || warm_start->layers() != nl)
+        if (warm_start->gridN() != g.n || warm_start->layers() != g.nl)
             fatal("warm-start field has the wrong geometry");
-        u0.resize(cells);
-        for (size_t c = 0; c < cells; ++c)
-            u0[c] = warm_start->t(c) - kAmbientK;
+        u0 = g.pad(*warm_start, kAmbientK);
+        for (double &u : u0)
+            u -= kAmbientK;
     }
-    mg_->setProblem(net.pIn, warm_start != nullptr ? &u0 : nullptr);
+    mg_->setProblem(g.pIn, warm_start != nullptr ? &u0 : nullptr);
 
     const MgSolver::Stats ms = mg_->solve();
     if (ms.cycles >= kMaxIterations &&
@@ -732,15 +701,14 @@ ThermalGrid::solveMultigrid(SolveStats *stats,
         warn("thermal solve hit the iteration cap (%d); residual above "
              "%g K", kMaxIterations, params_.maxResidualK);
 
-    std::vector<double> u;
-    mg_->solution(u);
-    ThermalField field(n, nl);
+    ThermalField field(g.n, g.nl);
+    g.unpad(mg_->level(0).u, field);
+    const size_t cells = static_cast<size_t>(g.nl) * g.n * g.n;
     for (size_t c = 0; c < cells; ++c)
-        field.t(c) = kAmbientK + u[c];
+        field.t(c) += kAmbientK;
     if (stats != nullptr) {
         stats->iterations = ms.cycles;
         stats->residualK = ms.residualK;
-        stats->vcycles = ms.cycles;
         stats->contraction = ms.contraction;
         stats->estErrorK = ms.estErrorK;
     }
@@ -750,150 +718,7 @@ ThermalGrid::solveMultigrid(SolveStats *stats,
 double
 ThermalGrid::transientDt(double dt_s) const
 {
-    if (dt_s <= 0.0)
-        fatal("transient step must be positive (got %g)", dt_s);
-    const Network &net = network();
-    const size_t cells =
-        static_cast<size_t>(net.nl) * net.n * net.n;
-    // Explicit stability bound dt < min(C / sum(G)).
-    double dt = dt_s;
-    for (size_t c = 0; c < cells; ++c)
-        if (net.cap[c] > 0.0 && net.gSum[c] > 0.0)
-            dt = std::min(dt, 0.4 * net.cap[c] / net.gSum[c]);
-    return dt;
-}
-
-double
-ThermalGrid::transientDtLateral(double dt_s) const
-{
-    if (dt_s <= 0.0)
-        fatal("transient step must be positive (got %g)", dt_s);
-    const Network &net = network();
-    const int n = net.n;
-    double dt = dt_s;
-    for (int l = 0; l < net.nl; ++l) {
-        for (int iy = 0; iy < n; ++iy) {
-            for (int ix = 0; ix < n; ++ix) {
-                const size_t c = net.idx(l, ix, iy);
-                if (net.cap[c] <= 0.0)
-                    continue;
-                // Only the explicitly-integrated lateral couplings
-                // constrain the step; vertical conduction and ambient
-                // convection are handled implicitly.
-                double g = 0.0;
-                if (ix > 0)
-                    g += net.gRight[c - 1];
-                if (ix + 1 < n)
-                    g += net.gRight[c];
-                if (iy > 0)
-                    g += net.gDown[c - n];
-                if (iy + 1 < n)
-                    g += net.gDown[c];
-                if (g > 0.0)
-                    dt = std::min(dt, 0.4 * net.cap[c] / g);
-            }
-        }
-    }
-    return dt;
-}
-
-void
-ThermalGrid::stepOnceVerticalImplicit(ThermalField &field,
-                                      std::vector<double> &scratch,
-                                      double dt_s) const
-{
-    const int n = params_.gridN;
-    const int nl = static_cast<int>(layers_.size());
-    if (field.gridN() != n || field.layers() != nl)
-        fatal("transient field has the wrong geometry");
-
-    const Network &net = network();
-    const size_t cells = static_cast<size_t>(nl) * n * n;
-    const size_t plane = static_cast<size_t>(n) * n;
-    const double inv_dt = 1.0 / dt_s;
-    if (scratch.size() != cells)
-        scratch.assign(cells, 0.0);
-
-    // Explicit right-hand side from the pre-step field: storage term,
-    // lateral flux, the implicit terms' constant parts (ambient sink,
-    // injected power). Evaluated for every material cell before any
-    // column updates, so the scheme reads a consistent time level.
-    for (int l = 0; l < nl; ++l) {
-        for (int iy = 0; iy < n; ++iy) {
-            for (int ix = 0; ix < n; ++ix) {
-                const size_t c = net.idx(l, ix, iy);
-                if (net.cap[c] <= 0.0)
-                    continue;
-                const double t = field.at(l, ix, iy);
-                double rhs = net.cap[c] * inv_dt * t +
-                    net.gAmb[c] * kAmbientK + net.pIn[c];
-                if (ix > 0)
-                    rhs += net.gRight[c - 1] *
-                        (field.at(l, ix - 1, iy) - t);
-                if (ix + 1 < n)
-                    rhs += net.gRight[c] *
-                        (field.at(l, ix + 1, iy) - t);
-                if (iy > 0)
-                    rhs += net.gDown[c - n] *
-                        (field.at(l, ix, iy - 1) - t);
-                if (iy + 1 < n)
-                    rhs += net.gDown[c] *
-                        (field.at(l, ix, iy + 1) - t);
-                scratch[c] = rhs;
-            }
-        }
-    }
-
-    // Backward-Euler solve of each column's vertical chain:
-    //   (C/dt + gAmb + gUp + gDown) T' - gUp T'_up - gDown T'_dn = rhs.
-    // Air cells become identity rows (their couplings are zero, so the
-    // chain decouples across them exactly as the explicit stepper
-    // leaves air alone). Thomas algorithm; columns are independent and
-    // the loop is serial, so the result is bit-identical for any
-    // thread count.
-    std::vector<double> diag(static_cast<size_t>(nl));
-    std::vector<double> upper(static_cast<size_t>(nl));
-    std::vector<double> rhs(static_cast<size_t>(nl));
-    for (int iy = 0; iy < n; ++iy) {
-        for (int ix = 0; ix < n; ++ix) {
-            for (int l = 0; l < nl; ++l) {
-                const size_t c = net.idx(l, ix, iy);
-                const auto li = static_cast<size_t>(l);
-                if (net.cap[c] <= 0.0) {
-                    diag[li] = 1.0;
-                    upper[li] = 0.0;
-                    rhs[li] = field.at(l, ix, iy);
-                    continue;
-                }
-                double d = net.cap[c] * inv_dt + net.gAmb[c];
-                if (l > 0)
-                    d += net.gBelow[c - plane];
-                if (l + 1 < nl)
-                    d += net.gBelow[c];
-                diag[li] = d;
-                upper[li] = l + 1 < nl ? -net.gBelow[c] : 0.0;
-                rhs[li] = scratch[c];
-            }
-            // Forward elimination (the sub-diagonal of row l is the
-            // upper coupling of row l-1 by symmetry), then
-            // back-substitution straight into the field.
-            for (int l = 1; l < nl; ++l) {
-                const auto li = static_cast<size_t>(l);
-                const double w = -upper[li - 1] / diag[li - 1];
-                // w is -sub/diag_prev; sub == upper[li - 1].
-                diag[li] += w * upper[li - 1];
-                rhs[li] += w * rhs[li - 1];
-            }
-            double t_below = rhs[static_cast<size_t>(nl - 1)] /
-                diag[static_cast<size_t>(nl - 1)];
-            field.at(nl - 1, ix, iy) = t_below;
-            for (int l = nl - 2; l >= 0; --l) {
-                const auto li = static_cast<size_t>(l);
-                t_below = (rhs[li] - upper[li] * t_below) / diag[li];
-                field.at(l, ix, iy) = t_below;
-            }
-        }
-    }
+    return stableDt(*net_, dt_s, TransientScheme::Explicit);
 }
 
 // ---------------------------------------------------------------------
@@ -904,25 +729,22 @@ TransientStepper::TransientStepper(const ThermalGrid &grid,
                                    const ThermalField &initial,
                                    double dt_s, TransientScheme scheme)
     : grid_(&grid), field_(initial),
-      dt_(scheme == TransientScheme::VerticalImplicit
-              ? grid.transientDtLateral(dt_s)
-              : grid.transientDt(dt_s)),
-      scheme_(scheme)
+      dt_(stableDt(*grid.net_, dt_s, scheme)), scheme_(scheme)
 {
-    if (initial.gridN() != grid.params().gridN ||
-        initial.layers() != static_cast<int>(grid.layers_.size()))
+    const GridNetwork &g = *grid.net_;
+    if (initial.gridN() != g.n || initial.layers() != g.nl)
         fatal("stepper initial field has the wrong geometry");
-    if (scheme_ != TransientScheme::Explicit)
-        return;
-    const PaddedNetwork &g = grid.padded();
-    const std::vector<double> &cap = grid.network().cap;
     cur_ = g.pad(initial, kAmbientK);
     next_ = cur_;
     rate_.assign(g.cells, 0.0);
-    for (const PaddedNetwork::Span &sp : g.stepSpans)
-        for (int i = 0; i < sp.len; ++i)
-            rate_[sp.cell + static_cast<size_t>(i)] =
-                dt_ / cap[sp.flat + static_cast<size_t>(i)];
+    const double inv_dt = 1.0 / dt_;
+    for (const GridNetwork::Span &sp : g.stepSpans)
+        for (int i = 0; i < sp.len; ++i) {
+            const size_t c = sp.cell + static_cast<size_t>(i);
+            rate_[c] = scheme_ == TransientScheme::Explicit
+                ? dt_ / g.cap[c]
+                : g.cap[c] * inv_dt;
+        }
 }
 
 void
@@ -943,20 +765,17 @@ TransientStepper::advance(double duration_s)
 void
 TransientStepper::step(std::int64_t count)
 {
+    const GridNetwork &g = *grid_->net_;
     if (scheme_ == TransientScheme::VerticalImplicit) {
-        for (std::int64_t i = 0; i < count; ++i)
-            grid_->stepOnceVerticalImplicit(field_, scratch_, dt_);
+        imexSteps(g, rate_.data(), cur_.data(), next_.data(), count);
     } else {
-        // Power edits since the last call refresh pIn here.
-        const std::vector<double> &p_in = grid_->network().pIn;
         double *cur = cur_.data();
         double *next = next_.data();
-        explicitSteps(grid_->padded(), p_in.data(), rate_.data(), cur,
-                      next, count);
+        explicitSteps(g, rate_.data(), cur, next, count);
         if (cur != cur_.data())
             cur_.swap(next_);
-        grid_->padded().unpad(cur_, field_);
     }
+    g.unpad(cur_, field_);
     steps_ += count;
 }
 

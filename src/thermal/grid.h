@@ -8,8 +8,8 @@
  * conductances, with distributed convection from the sink to ambient.
  * Steady-state temperatures come from SOR iteration (or multigrid),
  * transients from explicit Euler (or the IMEX VerticalImplicit
- * scheme). The exact SOR and explicit kernels run on a guard-padded
- * copy of the network (DESIGN.md section 17).
+ * scheme). All four read one network, built once per grid on a
+ * guard-padded layout (DESIGN.md section 17).
  */
 
 #ifndef TH_THERMAL_GRID_H
@@ -26,7 +26,7 @@
 namespace th {
 
 class MgSolver;
-struct PaddedNetwork;
+struct GridNetwork;
 
 /** One material layer of the stack (top = closest to the heat sink). */
 struct ThermalLayer
@@ -183,11 +183,9 @@ class ThermalGrid
     /** Convergence diagnostics of one steady-state solve. */
     struct SolveStats
     {
-        /** SOR sweeps, or V-cycles under SolverKind::Multigrid. */
+        /** SOR sweeps, or W-cycles under SolverKind::Multigrid. */
         int iterations = 0;
         double residualK = 0.0;
-        /** V-cycle count (0 under SolverKind::Sor). */
-        int vcycles = 0;
 
         /** Final-cycle delta contraction factor (multigrid only; the
          *  SOR stop test already measures the true max cell move). */
@@ -216,28 +214,6 @@ class ThermalGrid
     double transientDt(double dt_s) const;
 
     /**
-     * Step bound of TransientScheme::VerticalImplicit: only the
-     * explicitly-integrated lateral conductances constrain dt, so the
-     * bound is dt <= 0.4 * C / sum(G_lateral) per material cell —
-     * typically 1000x the full explicit bound on a thinned stack.
-     */
-    double transientDtLateral(double dt_s) const;
-
-    /**
-     * One TransientScheme::VerticalImplicit step of @p dt_s seconds:
-     * lateral flux from the pre-step field plus injected power form
-     * the explicit right-hand side, then every (ix, iy) column is
-     * advanced by one backward-Euler solve of its vertical
-     * conduction + ambient convection chain (Thomas algorithm). Air
-     * cells hold their temperature, as under explicit Euler. @p dt_s
-     * must respect transientDtLateral(). Deterministic for any thread
-     * count (the column loop is serial; columns are independent).
-     */
-    void stepOnceVerticalImplicit(ThermalField &field,
-                                  std::vector<double> &scratch,
-                                  double dt_s) const;
-
-    /**
      * Area-weighted average and peak temperature of a chip-coordinate
      * rectangle on die @p die in a solved field.
      */
@@ -256,38 +232,8 @@ class ThermalGrid
   private:
     friend class TransientStepper;
 
-    /**
-     * Precomputed RC network. The conductance, capacitance, and
-     * conductance-sum arrays depend only on geometry, so they are
-     * built once per grid (lazily, together with the padded copy the
-     * exact kernels read) and shared by every steady-state and
-     * transient solve; only the injected-power vector is refreshed
-     * after addPower()/clearPower(). A ThermalGrid instance is NOT
-     * safe for concurrent use — parallel callers each own a grid.
-     */
-    struct Network
-    {
-        std::vector<double> gRight, gDown, gBelow, gAmb, pIn;
-        /** Loop-invariant total conductance per cell (incl. ambient). */
-        std::vector<double> gSum;
-        /** Thermal capacitance per cell (J/K); 0 outside material. */
-        std::vector<double> cap;
-        int n = 0;
-        int nl = 0;
-
-        size_t idx(int l, int ix, int iy) const
-        {
-            return (static_cast<size_t>(l) * n + iy) * n + ix;
-        }
-    };
-
-    /** Build-once/refresh accessor for the cached network. */
-    const Network &network() const;
-    void buildConductances() const;
-    void buildPadded() const;
-    void refreshPower() const;
-    /** The padded copy of the network (built with it). */
-    const PaddedNetwork &padded() const;
+    /** Build the network from the layer stack, once, at construction. */
+    void buildNetwork();
 
     /** Multigrid dispatch target of solve(). */
     ThermalField solveMultigrid(SolveStats *stats,
@@ -305,15 +251,16 @@ class ThermalGrid
     double chip_w_, chip_h_;
     double chip_x0_, chip_y0_; ///< Chip origin on the spreader (mm).
     double cell_mm_;
-    /** Power per cell for each die layer [die][cell]. */
-    std::vector<std::vector<double>> power_;
 
-    mutable Network net_;
-    mutable std::unique_ptr<PaddedNetwork> padded_;
-    mutable bool net_built_ = false;
-    mutable bool power_dirty_ = true;
-    /** Lazily built multigrid hierarchy; geometry-only, so it is
-     *  reused across solves like net_ (rhs reloads per solve). */
+    /**
+     * The RC network every solve and step reads, deposited power
+     * included. A ThermalGrid instance is NOT safe for concurrent use
+     * — parallel callers each own a grid.
+     */
+    std::unique_ptr<GridNetwork> net_;
+    /** Lazily built multigrid hierarchy. It copies only the network's
+     *  conductances, so it is reused across solves (rhs reloads per
+     *  solve). */
     mutable std::unique_ptr<MgSolver> mg_;
 };
 
@@ -336,8 +283,9 @@ class TransientStepper
     /**
      * @param grid     The network to step (borrowed).
      * @param initial  Starting field; must match the grid's geometry.
-     * @param dt_s     Requested step, clamped via transientDt() (or
-     *                 transientDtLateral() under VerticalImplicit).
+     * @param dt_s     Requested step, clamped via transientDt() (or,
+     *                 under VerticalImplicit, the same bound over the
+     *                 lateral couplings alone).
      * @param scheme   Time integrator (see TransientScheme).
      */
     TransientStepper(const ThermalGrid &grid, const ThermalField &initial,
@@ -359,10 +307,12 @@ class TransientStepper
 
     const ThermalGrid *grid_;
     ThermalField field_;
-    /** VerticalImplicit: the per-cell right-hand side. */
-    std::vector<double> scratch_;
-    /** Explicit: the field on the padded layout, double-buffered
-     *  (cur_ holds the latest step), and each material cell's dt / C. */
+    /**
+     * The field on the padded layout (cur_ holds the latest step), a
+     * second buffer (explicit: the next step; VerticalImplicit: the
+     * right-hand side), and each material cell's dt / C (explicit) or
+     * C / dt (VerticalImplicit).
+     */
     std::vector<double> cur_, next_, rate_;
     double dt_;
     TransientScheme scheme_;

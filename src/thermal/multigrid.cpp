@@ -53,21 +53,28 @@ forEachRow(ThreadPool &pool, int rows, std::size_t level_cells,
     pool.parallelFor(static_cast<std::size_t>(rows), body);
 }
 
+/** Size and zero the solver's arrays from L's layout; diag is preset
+ *  to 1.0 and mask to 0.0, which ghosts keep. */
+void
+allocSolverArrays(MgLevel &L)
+{
+    L.diag.assign(L.cells, 1.0);
+    for (auto *a : {&L.mask, &L.u, &L.rhs, &L.res, &L.cp, &L.dp})
+        a->assign(L.cells, 0.0);
+    L.rowDelta.assign(static_cast<std::size_t>(L.n), 0.0);
+}
+
 /** Rebuild diag (>= 1.0 identity on air) and mask from the coupling
- *  arrays; ghosts keep diag 1 / mask 0 from alloc(). */
+ *  arrays; ghosts keep diag 1 / mask 0 from allocSolverArrays(). */
 void
 computeDiagMask(MgLevel &L)
 {
-    const std::size_t plane = L.plane;
-    const int pn = L.pn;
     for (int l = 0; l < L.nl; ++l) {
         for (int iy = 0; iy < L.n; ++iy) {
             const std::size_t row = L.at(l, 0, iy);
             for (int ix = 0; ix < L.n; ++ix) {
                 const std::size_t c = row + ix;
-                const double g = L.gAmb[c] + L.gRight[c - 1] +
-                    L.gRight[c] + L.gDown[c - pn] + L.gDown[c] +
-                    L.gBelow[c - plane] + L.gBelow[c];
+                const double g = L.conductanceSum(c);
                 L.mask[c] = g > 0.0 ? 1.0 : 0.0;
                 L.diag[c] = g > 0.0 ? g : 1.0;
             }
@@ -78,53 +85,26 @@ computeDiagMask(MgLevel &L)
 } // namespace
 
 void
-MgLevel::alloc(int lateral_n, int layers_nl)
+PaddedNetwork::resize(int lateral_n, int layers_nl)
 {
     n = lateral_n;
     nl = layers_nl;
     pn = n + 2;
     plane = static_cast<std::size_t>(pn) * pn;
     cells = static_cast<std::size_t>(nl + 2) * plane;
-    gRight.assign(cells, 0.0);
-    gDown.assign(cells, 0.0);
-    gBelow.assign(cells, 0.0);
-    gAmb.assign(cells, 0.0);
-    diag.assign(cells, 1.0);
-    mask.assign(cells, 0.0);
-    u.assign(cells, 0.0);
-    rhs.assign(cells, 0.0);
-    res.assign(cells, 0.0);
-    cp.assign(cells, 0.0);
-    dp.assign(cells, 0.0);
-    rowDelta.assign(static_cast<std::size_t>(n), 0.0);
+    for (auto *a : {&gRight, &gDown, &gBelow, &gAmb})
+        a->assign(cells, 0.0);
 }
 
 MgLevel
-mgFineLevel(int n, int nl, const std::vector<double> &g_right,
-            const std::vector<double> &g_down,
-            const std::vector<double> &g_below,
-            const std::vector<double> &g_amb)
+mgFineLevel(const PaddedNetwork &net)
 {
-    if (n < 2 || nl < 1)
+    if (net.n < 2 || net.nl < 1)
         fatal("multigrid fine level needs n >= 2, nl >= 1 (got %d, %d)",
-              n, nl);
+              net.n, net.nl);
     MgLevel L;
-    L.alloc(n, nl);
-    const auto flat = [n](int l, int ix, int iy) {
-        return (static_cast<std::size_t>(l) * n + iy) * n + ix;
-    };
-    for (int l = 0; l < nl; ++l) {
-        for (int iy = 0; iy < n; ++iy) {
-            const std::size_t row = L.at(l, 0, iy);
-            for (int ix = 0; ix < n; ++ix) {
-                const std::size_t f = flat(l, ix, iy);
-                L.gRight[row + ix] = g_right[f];
-                L.gDown[row + ix] = g_down[f];
-                L.gBelow[row + ix] = g_below[f];
-                L.gAmb[row + ix] = g_amb[f];
-            }
-        }
-    }
+    static_cast<PaddedNetwork &>(L) = net;
+    allocSolverArrays(L);
     computeDiagMask(L);
     return L;
 }
@@ -135,7 +115,8 @@ mgCoarsen(const MgLevel &fine)
     if (fine.n % 2 != 0)
         fatal("cannot coarsen an odd lateral grid (n = %d)", fine.n);
     MgLevel C;
-    C.alloc(fine.n / 2, fine.nl);
+    C.resize(fine.n / 2, fine.nl);
+    allocSolverArrays(C);
     for (int l = 0; l < C.nl; ++l) {
         for (int cy = 0; cy < C.n; ++cy) {
             const std::size_t crow = C.at(l, 0, cy);
@@ -370,24 +351,20 @@ MgSolver::setProblem(const std::vector<double> &power_w,
                      const std::vector<double> *u0)
 {
     MgLevel &f = levels_.front();
-    const int n = f.n, nl = f.nl;
-    const std::size_t want =
-        static_cast<std::size_t>(nl) * n * n;
-    if (power_w.size() != want || (u0 != nullptr && u0->size() != want))
+    if (power_w.size() != f.cells ||
+        (u0 != nullptr && u0->size() != f.cells))
         fatal("multigrid problem arrays have the wrong size");
     if (u0 == nullptr)
         std::fill(f.u.begin(), f.u.end(), 0.0);
-    for (int l = 0; l < nl; ++l) {
-        for (int iy = 0; iy < n; ++iy) {
+    for (int l = 0; l < f.nl; ++l) {
+        for (int iy = 0; iy < f.n; ++iy) {
             const std::size_t row = f.at(l, 0, iy);
-            const std::size_t flat =
-                (static_cast<std::size_t>(l) * n + iy) * n;
-            for (int ix = 0; ix < n; ++ix) {
+            for (int ix = 0; ix < f.n; ++ix) {
+                const std::size_t c = row + ix;
                 // Masked so air cells keep rhs = u = 0 exactly.
-                f.rhs[row + ix] = power_w[flat + ix] * f.mask[row + ix];
+                f.rhs[c] = power_w[c] * f.mask[c];
                 if (u0 != nullptr)
-                    f.u[row + ix] =
-                        (*u0)[flat + ix] * f.mask[row + ix];
+                    f.u[c] = (*u0)[c] * f.mask[c];
             }
         }
     }
@@ -456,23 +433,6 @@ MgSolver::solve()
     }
     s.residualK = delta;
     return s;
-}
-
-void
-MgSolver::solution(std::vector<double> &out) const
-{
-    const MgLevel &f = levels_.front();
-    const int n = f.n, nl = f.nl;
-    out.assign(static_cast<std::size_t>(nl) * n * n, 0.0);
-    for (int l = 0; l < nl; ++l) {
-        for (int iy = 0; iy < n; ++iy) {
-            const std::size_t row = f.at(l, 0, iy);
-            const std::size_t flat =
-                (static_cast<std::size_t>(l) * n + iy) * n;
-            for (int ix = 0; ix < n; ++ix)
-                out[flat + ix] = f.u[row + ix];
-        }
-    }
 }
 
 double

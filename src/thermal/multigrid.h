@@ -13,10 +13,11 @@
  * counts.
  *
  * The solver works in u = T - T_ambient space so the convection term
- * folds into the diagonal, and every per-level array is ghost-padded
- * (one zero ring in x, y, and layer) so the sweeps are branch-free
- * and auto-vectorizable. Air cells carry an identity row (diag 1,
- * couplings 0, mask 0) and never move from u = 0.
+ * folds into the diagonal. Every level is a PaddedNetwork (one zero
+ * ring in x, y, and layer), the fine one a copy of the grid's, so the
+ * sweeps are branch-free and auto-vectorizable. Air cells carry an
+ * identity row (diag 1, couplings 0, mask 0) and never move from
+ * u = 0.
  *
  * Determinism: colour half-sweeps only read the other colour, rows
  * are distributed over th::ThreadPool and their maxima reduced in
@@ -36,12 +37,14 @@ namespace th {
 class ThreadPool;
 
 /**
- * One level of the hierarchy. All field arrays use a ghost-padded
- * (nl + 2) x (n + 2) x (n + 2) layout in (layer, iy, ix) order; ghost
- * entries hold zero conductance/solution so sweeps never branch on
- * boundaries. The solution u is in kelvin above ambient.
+ * The thermal RC network on the guard-padded layout that ThermalGrid
+ * builds and every level of the hierarchy shares: a (nl + 2) x (n + 2)
+ * x (n + 2) array in (layer, iy, ix) order with one guard cell on each
+ * side of each axis. Guard entries hold zero conductance, so a missing
+ * neighbour is a term that adds exactly 0 and no kernel branches on a
+ * boundary (DESIGN.md section 17).
  */
-struct MgLevel
+struct PaddedNetwork
 {
     int n = 0;  ///< Lateral cells per side.
     int nl = 0; ///< Layers (identical on every level).
@@ -57,10 +60,32 @@ struct MgLevel
                (ix + 1);
     }
 
-    /** Conductances to the +x / +y / +layer neighbour; 0 on ghosts. */
+    /** Conductances to the +x / +y / +layer neighbour; 0 on guards. */
     std::vector<double> gRight, gDown, gBelow;
     /** Convection to ambient (top layer only on the fine grid). */
     std::vector<double> gAmb;
+
+    /** Set the sizes from n/nl and zero the four conductance arrays. */
+    void resize(int lateral_n, int layers_nl);
+
+    /** Cell @p c's total conductance: ambient, then left, right, up,
+     *  down, above and below. */
+    double conductanceSum(std::size_t c) const
+    {
+        const auto stride = static_cast<std::size_t>(pn);
+        return gAmb[c] + gRight[c - 1] + gRight[c] + gDown[c - stride] +
+            gDown[c] + gBelow[c - plane] + gBelow[c];
+    }
+};
+
+/**
+ * One level of the hierarchy: a network plus the solver's per-cell
+ * arrays, all on its padded layout. Ghost entries hold zero solution,
+ * so sweeps never branch on boundaries. The solution u is in kelvin
+ * above ambient.
+ */
+struct MgLevel : PaddedNetwork
+{
     /** Row diagonal: total conductance, or exactly 1.0 on air/ghost
      *  cells so the tridiagonal solves never divide by zero. */
     std::vector<double> diag;
@@ -84,19 +109,10 @@ struct MgLevel
      */
     std::vector<std::int32_t> pIdx;
     std::vector<double> pW;
-
-    /** Size and zero every array from n/nl; diag preset to 1.0. */
-    void alloc(int lateral_n, int layers_nl);
 };
 
-/**
- * Build the finest level from the grid's unpadded conductance arrays
- * (ThermalGrid::Network layout, (layer, iy, ix) order, size nl*n*n).
- */
-MgLevel mgFineLevel(int n, int nl, const std::vector<double> &g_right,
-                    const std::vector<double> &g_down,
-                    const std::vector<double> &g_below,
-                    const std::vector<double> &g_amb);
+/** The finest level: a copy of the grid's network @p net. */
+MgLevel mgFineLevel(const PaddedNetwork &net);
 
 /**
  * Aggregate lateral 2x2 blocks into the next-coarser conductance
@@ -168,9 +184,9 @@ class MgSolver
     };
 
     /**
-     * Load a new right-hand side (injected watts per fine cell,
-     * unpadded nl*n*n) and initial guess (kelvin above ambient, same
-     * layout; nullptr = start from ambient).
+     * Load a new right-hand side (injected watts per fine cell, on the
+     * fine level's padded layout) and initial guess (kelvin above
+     * ambient, same layout; nullptr = start from ambient).
      */
     void setProblem(const std::vector<double> &power_w,
                     const std::vector<double> *u0);
@@ -180,9 +196,6 @@ class MgSolver
 
     /** Cycle until the delta drops below the tolerance (or the cap). */
     Stats solve();
-
-    /** Copy the fine solution (K above ambient) into unpadded @p out. */
-    void solution(std::vector<double> &out) const;
 
     /** Max |residual| / diag over fine material cells — the same
      *  kelvin-scaled measure the stopping test bounds; for tests. */

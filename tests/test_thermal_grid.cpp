@@ -160,19 +160,19 @@ TEST(ThermalGrid, DieLayersEnumerated)
 MgLevel
 uniformFineLevel(int n)
 {
-    const size_t cells = static_cast<size_t>(n) * n;
-    std::vector<double> gr(cells, 0.0), gd(cells, 0.0),
-        gb(cells, 0.0), ga(cells, 0.1);
+    PaddedNetwork net;
+    net.resize(n, 1);
     for (int iy = 0; iy < n; ++iy) {
         for (int ix = 0; ix < n; ++ix) {
-            const size_t c = static_cast<size_t>(iy) * n + ix;
+            const size_t c = net.at(0, ix, iy);
+            net.gAmb[c] = 0.1;
             if (ix + 1 < n)
-                gr[c] = 1.0;
+                net.gRight[c] = 1.0;
             if (iy + 1 < n)
-                gd[c] = 1.0;
+                net.gDown[c] = 1.0;
         }
     }
-    return mgFineLevel(n, 1, gr, gd, gb, ga);
+    return mgFineLevel(net);
 }
 
 TEST(Multigrid, RestrictionSumsBlockResiduals)
@@ -240,30 +240,28 @@ TEST(Multigrid, VCycleReducesResidualMonotonically)
     // like the real stack) with a point source: every V-cycle must
     // shrink the kelvin-scaled residual.
     const int n = 16, nl = 3;
-    const size_t cells = static_cast<size_t>(nl) * n * n;
-    std::vector<double> gr(cells, 0.0), gd(cells, 0.0),
-        gb(cells, 0.0), ga(cells, 0.0);
+    PaddedNetwork net;
+    net.resize(n, nl);
     for (int l = 0; l < nl; ++l) {
         for (int iy = 0; iy < n; ++iy) {
             for (int ix = 0; ix < n; ++ix) {
-                const size_t c =
-                    (static_cast<size_t>(l) * n + iy) * n + ix;
+                const size_t c = net.at(l, ix, iy);
                 if (ix + 1 < n)
-                    gr[c] = 1.0;
+                    net.gRight[c] = 1.0;
                 if (iy + 1 < n)
-                    gd[c] = 1.0;
+                    net.gDown[c] = 1.0;
                 if (l + 1 < nl)
-                    gb[c] = 50.0;
+                    net.gBelow[c] = 50.0;
                 if (l == 0)
-                    ga[c] = 0.05;
+                    net.gAmb[c] = 0.05;
             }
         }
     }
-    MgSolver solver(mgFineLevel(n, nl, gr, gd, gb, ga), 1000, 1e-4);
+    MgSolver solver(mgFineLevel(net), 1000, 1e-4);
     EXPECT_GE(solver.numLevels(), 2);
 
-    std::vector<double> rhs(cells, 0.0);
-    rhs[(static_cast<size_t>(nl - 1) * n + n / 2) * n + n / 2] = 10.0;
+    std::vector<double> rhs(net.cells, 0.0);
+    rhs[net.at(nl - 1, n / 2, n / 2)] = 10.0;
     solver.setProblem(rhs, nullptr);
 
     double prev = std::numeric_limits<double>::infinity();
@@ -292,8 +290,8 @@ TEST(Multigrid, MatchesSorFieldOnPlanarStack)
     const ThermalField fs = sor.solve();
     ThermalGrid::SolveStats stats;
     const ThermalField fm = mg.solve(&stats);
-    EXPECT_GT(stats.vcycles, 0);
-    EXPECT_LT(stats.vcycles, 100);
+    EXPECT_GT(stats.iterations, 0);
+    EXPECT_LT(stats.iterations, 100);
     for (int l = 0; l < fs.layers(); ++l)
         for (int iy = 0; iy < p.gridN; ++iy)
             for (int ix = 0; ix < p.gridN; ++ix)
@@ -332,7 +330,7 @@ TEST(Multigrid, WarmStartConvergesInFewCycles)
     const ThermalField f = grid.solve(&cold);
     ThermalGrid::SolveStats warm;
     const ThermalField g = grid.solve(&warm, &f);
-    EXPECT_LE(warm.vcycles, cold.vcycles);
+    EXPECT_LE(warm.iterations, cold.iterations);
     // Re-solving from the converged field stays converged: both fields
     // sit within the stopping error of the same fixed point, so they
     // agree to a few multiples of the (delta-based) tolerance.
