@@ -1,6 +1,7 @@
 #include "sim/dispatch.h"
 
 #include <climits>
+#include <cmath>
 
 #include "dtm/policy.h"
 #include "sim/experiments.h"
@@ -108,6 +109,19 @@ validateRequest(const SimRequest &req, const SimOptions &window,
         if (req.dtmGridN > static_cast<std::uint32_t>(INT_MAX)) {
             err = "dtmGridN " + std::to_string(req.dtmGridN) +
                   " out of range (max " + std::to_string(INT_MAX) + ")";
+            return false;
+        }
+        // dtmOptionsFrom keeps a knob only when it is > 0, so a NaN
+        // trigger would silently become the default, and an infinite
+        // dilation would reach the stepper's step-count cast.
+        if (!std::isfinite(req.dtmTriggerK)) {
+            err = "dtmTriggerK " + std::to_string(req.dtmTriggerK) +
+                  " is not finite";
+            return false;
+        }
+        if (!std::isfinite(req.dtmDilation)) {
+            err = "dtmDilation " + std::to_string(req.dtmDilation) +
+                  " is not finite";
             return false;
         }
         // 0 selects the default grid; 1..3 would reach the engines'

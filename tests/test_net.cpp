@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -435,6 +436,28 @@ TEST(NetTest, HostileDtmKnobsAreRejectedNotWrapped)
         ASSERT_TRUE(client.call(coarse, rsp, err)) << err;
         EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
         EXPECT_NE(rsp.error.find("dtmGridN"), std::string::npos)
+            << rsp.error;
+    }
+    // A knob that is not finite used to pass validation: an infinite
+    // dilation reached the stepper's step-count cast (undefined
+    // behaviour) and a NaN trigger silently became the default. Both
+    // kinds that carry the knobs must reject them.
+    for (const SimRequestKind kind :
+         {SimRequestKind::Dtm, SimRequestKind::Multicore}) {
+        SimRequest knob;
+        knob.kind = kind;
+        knob.deadlineMs = 1;
+        knob.dtmDilation = std::numeric_limits<double>::infinity();
+        ASSERT_TRUE(client.call(knob, rsp, err)) << err;
+        EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
+        EXPECT_NE(rsp.error.find("dtmDilation"), std::string::npos)
+            << rsp.error;
+
+        knob.dtmDilation = 0.0;
+        knob.dtmTriggerK = std::numeric_limits<double>::quiet_NaN();
+        ASSERT_TRUE(client.call(knob, rsp, err)) << err;
+        EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
+        EXPECT_NE(rsp.error.find("dtmTriggerK"), std::string::npos)
             << rsp.error;
     }
     SimRequest ping;

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -84,6 +85,19 @@ parseU64(const std::string &s, const char *flag)
     return v;
 }
 
+/** parseU64 for a flag whose field holds at most @p max. */
+std::uint64_t
+parseAtMost(const std::string &s, const char *flag, std::uint64_t max)
+{
+    const std::uint64_t v = parseU64(s, flag);
+    if (v > max) {
+        std::fprintf(stderr, "th_serve: %s %s out of range (max %llu)\n",
+                     flag, s.c_str(), static_cast<unsigned long long>(max));
+        std::exit(2);
+    }
+    return v;
+}
+
 /** Park until SIGTERM/SIGINT, then run the tier's drain. */
 template <typename ServerT>
 int
@@ -117,15 +131,13 @@ main(int argc, char **argv)
         if (a == "--host")
             opts.host = value("--host");
         else if (a == "--port")
-            opts.port =
-                static_cast<std::uint16_t>(parseU64(value("--port"),
-                                                    "--port"));
+            opts.port = static_cast<std::uint16_t>(
+                parseAtMost(value("--port"), "--port", 65535));
         else if (a == "--store")
             opts.sim.storeDir = value("--store");
         else if (a == "--workers") {
-            opts.workers =
-                static_cast<int>(parseU64(value("--workers"),
-                                          "--workers"));
+            opts.workers = static_cast<int>(
+                parseAtMost(value("--workers"), "--workers", INT_MAX));
             workers_set = true;
         } else if (a == "--queue") {
             opts.queueCapacity = parseU64(value("--queue"), "--queue");
