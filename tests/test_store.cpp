@@ -211,6 +211,36 @@ TEST_F(StoreTest, KeyMismatchRejected)
     EXPECT_EQ(store.stats().corrupt, 1u);
 }
 
+TEST_F(StoreTest, DirectoryAtEntryPathIsQuarantined)
+{
+    // Something that opens but cannot be read as an entry is corrupt,
+    // not absent: counting it as a miss would leave the directory in
+    // place, and every later commit of the key would fail to rename
+    // onto it.
+    ArtifactStore store(options());
+    ASSERT_TRUE(store.storeCoreResult("gzip", 0x31, syntheticResult(1)));
+    const fs::path entry = onlyEntry();
+    fs::remove(entry);
+    fs::create_directory(entry);
+
+    CoreResult back;
+    EXPECT_FALSE(store.loadCoreResult("gzip", 0x31, back));
+    StoreStats s = store.stats();
+    EXPECT_EQ(s.corrupt, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_TRUE(fs::exists(entry.string() + ".bad"));
+    EXPECT_FALSE(fs::exists(entry));
+
+    const CoreResult r = syntheticResult(2);
+    ASSERT_TRUE(store.storeCoreResult("gzip", 0x31, r));
+    ASSERT_TRUE(store.loadCoreResult("gzip", 0x31, back));
+    EXPECT_EQ(serializeCoreResult(back), serializeCoreResult(r));
+    s = store.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.corrupt, 1u);
+}
+
 TEST_F(StoreTest, LruCapEvictsOldestEntries)
 {
     // Measure one entry's size, then cap the store at ~2.5 entries.
@@ -628,6 +658,42 @@ TYPED_TEST(StoreContract, RoundTripsAcrossInstances)
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 2u);
     EXPECT_EQ(s.corrupt, 0u);
+}
+
+TEST_F(StoreTest, LargeEntryRoundTripsAcrossInstances)
+{
+    // An entry far larger than any single read buffer a loader might
+    // start with: the whole file must come back intact.
+    DtmReport sent = samplePayload<DtmReport>(4);
+    sent.intervals.clear();
+    for (int i = 0; i < 2000; ++i) {
+        DtmIntervalSample smp;
+        smp.timeS = 1e-4 * (i + 1);
+        smp.peakK = 350.0 + 0.01 * i;
+        smp.clockDuty = i % 3 ? 0.5 : 1.0;
+        smp.cycles = 12500 + static_cast<std::uint64_t>(i);
+        smp.committed = 20000 + static_cast<std::uint64_t>(i) * 3;
+        smp.powerW = 40.0 + 0.001 * i;
+        smp.throttled = (i % 3) != 0;
+        sent.intervals.push_back(smp);
+    }
+    {
+        ArtifactStore writer(options());
+        ASSERT_TRUE(writer.save("mpeg2enc", 0xB16, sent));
+    }
+    std::uint64_t bytes = 0;
+    for (const auto &de : fs::directory_iterator(dir_))
+        if (de.path().extension() == ".dtm")
+            bytes = fs::file_size(de.path());
+    ASSERT_GT(bytes, 64u * 1024u);
+
+    ArtifactStore reader(options());
+    DtmReport back;
+    ASSERT_TRUE(reader.load("mpeg2enc", 0xB16, back));
+    EXPECT_EQ(payloadBytes(back), payloadBytes(sent));
+    EXPECT_EQ(reader.stats().hits, 1u);
+    EXPECT_EQ(reader.stats().corrupt, 0u);
+    EXPECT_EQ(reader.verify(), 0);
 }
 
 TYPED_TEST(StoreContract, KeyMismatchIsQuarantined)
