@@ -8,20 +8,41 @@ namespace {
 
 constexpr std::uint32_t kPoly = 0xEDB88320u;
 
-constexpr std::array<std::uint32_t, 256>
-makeTable()
+/**
+ * Slicing-by-8 tables. Row 0 is the classic byte-at-a-time table; row
+ * k maps a byte to the CRC contribution it makes when k more bytes
+ * follow it, so one step folds eight bytes with eight lookups.
+ */
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables
+makeTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1u) ? (kPoly ^ (c >> 1)) : (c >> 1);
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < t.size(); ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = makeTable();
+constexpr Tables kTables = makeTables();
+
+/** The little-endian u32 at @p p, assembled from bytes: any alignment,
+ *  any host byte order (compilers fuse it into one load). */
+inline std::uint32_t
+loadLe32(const unsigned char *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 } // namespace
 
@@ -30,8 +51,16 @@ crc32(const void *data, std::size_t len, std::uint32_t seed)
 {
     const auto *p = static_cast<const unsigned char *>(data);
     std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        const std::uint32_t lo = c ^ loadLe32(p);
+        const std::uint32_t hi = loadLe32(p + 4);
+        c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+            kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+            kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
