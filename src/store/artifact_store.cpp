@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <filesystem>
 #include <system_error>
 #include <tuple>
 #include <type_traits>
 
+#include <cerrno>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/log.h"
@@ -74,56 +76,79 @@ findRow(Pred pred)
     return nullptr;
 }
 
-std::int64_t
-mtimeNsOf(const fs::path &p)
+/** The descriptor row whose extension @p p carries, or null. */
+const KindRow *
+rowOf(const fs::path &p)
 {
-    std::error_code ec;
-    const auto t = fs::last_write_time(p, ec);
-    if (ec)
-        return 0;
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               t.time_since_epoch())
-        .count();
+    return findRow(
+        [&](const ArtifactFormat &f) { return p.extension() == f.ext; });
 }
 
-} // namespace
+/**
+ * Largest file the store reads: one payload chunk at the chunk
+ * reader's cap plus the container header, two chunk headers and a
+ * META chunk (a benchmark name and a key), far under 64 KiB. A longer
+ * file cannot be an entry, so it is rejected before it is read.
+ */
+constexpr std::uint64_t kMaxEntryBytes =
+    std::uint64_t{kDefaultMaxChunkBytes} + (std::uint64_t{1} << 16);
 
-ArtifactStore::ArtifactStore(const StoreOptions &opts) : opts_(opts)
+/** How reading a whole file ended. */
+enum class FileRead {
+    Ok,      ///< Every byte of the file is in the buffer.
+    Missing, ///< open() reported ENOENT: nothing is stored there.
+    Failed,  ///< Any other failure, a file that is not regular, or
+             ///< one longer than kMaxEntryBytes.
+};
+
+/**
+ * Read all of @p path into @p buf with one open, one fstat and, for
+ * any entry the store writes, one read. Entries are committed by
+ * rename and never rewritten, so the size fstat reports is the end of
+ * file. O_NONBLOCK keeps a FIFO planted at the path from blocking the
+ * open; fstat then rejects it as not regular.
+ */
+FileRead
+readFile(const std::string &path, std::vector<std::uint8_t> &buf)
 {
-    if (opts_.dir.empty())
-        return;
-    std::error_code ec;
-    fs::create_directories(opts_.dir, ec);
-    if (ec) {
-        warn("artifact store: cannot create '%s' (%s); store disabled",
-             opts_.dir.c_str(), ec.message().c_str());
-        opts_.dir.clear();
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+    if (fd < 0)
+        return errno == ENOENT ? FileRead::Missing : FileRead::Failed;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
+              static_cast<std::uint64_t>(st.st_size) <= kMaxEntryBytes;
+    if (ok) {
+        buf.resize(static_cast<std::size_t>(st.st_size));
+        std::size_t got = 0;
+        while (ok && got < buf.size()) {
+            const ssize_t n =
+                ::read(fd, buf.data() + got, buf.size() - got);
+            if (n > 0)
+                got += static_cast<std::size_t>(n);
+            else
+                ok = n < 0 && errno == EINTR; // 0: shorter than fstat said.
+        }
     }
+    ::close(fd);
+    return ok ? FileRead::Ok : FileRead::Failed;
 }
 
-std::string
-ArtifactStore::entryPath(const ArtifactFormat &format,
-                         const std::string &benchmark,
-                         std::uint64_t key) const
-{
-    return (fs::path(opts_.dir) /
-            strformat("%s-%016llx%s", sanitize(benchmark).c_str(),
-                      static_cast<unsigned long long>(key), format.ext))
-        .string();
-}
-
+/**
+ * Validate @p bytes as a @p format entry of (@p benchmark, @p key):
+ * the current schema, a matching META chunk and exactly one payload
+ * chunk, which @p decode must consume.
+ */
 bool
-ArtifactStore::readEntry(const std::string &path,
-                         const ArtifactFormat &format,
-                         const std::string &benchmark, std::uint64_t key,
-                         const PayloadDecoder &decode) const
+parseEntry(const std::vector<std::uint8_t> &bytes,
+           const ArtifactFormat &format, const std::string &benchmark,
+           std::uint64_t key, const std::function<bool(Decoder &)> &decode)
 {
+    MemSource src(bytes);
+    ChunkReader reader(src);
     std::uint32_t schema = 0;
     std::string err;
-    ChunkFileReader reader;
-    if (!reader.open(path, format.tag, schema, err))
-        return false;
-    if (schema != kStoreSchemaVersion)
+    if (!reader.readHeader(format.tag, schema, err) ||
+        schema != kStoreSchemaVersion)
         return false;
 
     bool meta_ok = false, result_ok = false;
@@ -152,6 +177,70 @@ ArtifactStore::readEntry(const std::string &path,
         }
     }
     return meta_ok && result_ok;
+}
+
+/**
+ * Every entry file in @p dir, valid or quarantined, oldest first by
+ * (mtime, path), with one stat per file and no read: the size, the
+ * mtime and whether it is quarantined are all the cap sweep needs.
+ */
+std::vector<ArtifactStore::Entry>
+scanEntries(const std::string &dir)
+{
+    std::vector<ArtifactStore::Entry> entries;
+    std::error_code ec;
+    for (const auto &de : fs::directory_iterator(dir, ec)) {
+        const fs::path &p = de.path();
+        const std::string name = p.filename().string();
+        const bool bad = name.size() > 4 &&
+            name.compare(name.size() - 4, 4, kBadExt) == 0;
+        if (!bad && rowOf(p) == nullptr)
+            continue; // Temp files and strangers.
+        struct stat st;
+        if (::stat(p.c_str(), &st) != 0)
+            continue; // Removed since the directory was read.
+        ArtifactStore::Entry e;
+        e.path = p.string();
+        e.quarantined = bad;
+        e.bytes = static_cast<std::uint64_t>(st.st_size);
+        e.mtimeNs = static_cast<std::int64_t>(st.st_mtim.tv_sec) *
+                        1000000000 +
+                    st.st_mtim.tv_nsec;
+        entries.push_back(std::move(e));
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const ArtifactStore::Entry &a,
+                 const ArtifactStore::Entry &b) {
+                  return a.mtimeNs != b.mtimeNs ? a.mtimeNs < b.mtimeNs
+                                                : a.path < b.path;
+              });
+    return entries;
+}
+
+} // namespace
+
+ArtifactStore::ArtifactStore(const StoreOptions &opts) : opts_(opts)
+{
+    if (opts_.dir.empty())
+        return;
+    std::error_code ec;
+    fs::create_directories(opts_.dir, ec);
+    if (ec) {
+        warn("artifact store: cannot create '%s' (%s); store disabled",
+             opts_.dir.c_str(), ec.message().c_str());
+        opts_.dir.clear();
+    }
+}
+
+std::string
+ArtifactStore::entryPath(const ArtifactFormat &format,
+                         const std::string &benchmark,
+                         std::uint64_t key) const
+{
+    return (fs::path(opts_.dir) /
+            strformat("%s-%016llx%s", sanitize(benchmark).c_str(),
+                      static_cast<unsigned long long>(key), format.ext))
+        .string();
 }
 
 bool
@@ -203,16 +292,22 @@ ArtifactStore::loadEntry(const ArtifactFormat &format,
     const std::string path = entryPath(format, benchmark, key);
 
     LockGuard lock(mu_);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
+    std::vector<std::uint8_t> bytes;
+    const FileRead got = readFile(path, bytes);
+    if (got == FileRead::Missing) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    if (!readEntry(path, format, benchmark, key, decode)) {
-        // Distinguish a concurrent eviction (the file vanished under
-        // us — benign, another process gc'd it) from real corruption
-        // before quarantining: quarantine on ENOENT would manufacture
-        // phantom corrupt counts on a shared store.
+    if (got == FileRead::Failed ||
+        !parseEntry(bytes, format, benchmark, key, decode)) {
+        // Only ENOENT from open() is a plain miss: anything else that
+        // opens but does not read as an entry (a directory, a short
+        // file, a bad CRC) would keep failing, and keep blocking the
+        // key's next commit, if it stayed. Distinguish a concurrent
+        // eviction (the file vanished under us — benign, another
+        // process gc'd it) from real corruption before quarantining:
+        // quarantine on ENOENT would manufacture phantom corrupt counts
+        // on a shared store.
         if (noteIfRaceLost(path)) {
             misses_.fetch_add(1, std::memory_order_relaxed);
             return false;
@@ -293,55 +388,35 @@ ArtifactStore::stats() const
 std::vector<ArtifactStore::Entry>
 ArtifactStore::list() const
 {
-    std::vector<Entry> entries;
     if (!enabled())
-        return entries;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(opts_.dir, ec)) {
-        const fs::path &p = de.path();
-        const std::string name = p.filename().string();
-        const bool bad = name.size() > 4 &&
-            name.compare(name.size() - 4, 4, kBadExt) == 0;
-        const KindRow *row = bad ? nullptr
-                                 : findRow([&](const ArtifactFormat &f) {
-                                       return p.extension() == f.ext;
-                                   });
-        if (!bad && row == nullptr)
-            continue; // Temp files and strangers.
-        Entry e;
-        e.path = p.string();
-        e.quarantined = bad;
-        std::error_code sec;
-        e.bytes = fs::file_size(p, sec);
-        e.mtimeNs = mtimeNsOf(p);
-        if (row != nullptr) {
-            // Best-effort metadata read (for display only).
-            std::uint32_t schema = 0;
-            std::string err, tag;
-            std::vector<std::uint8_t> payload;
-            ChunkFileReader reader;
-            if (reader.open(e.path, row->format.tag, schema, err) &&
-                reader.next(tag, payload, err) ==
-                    ChunkReader::Next::Chunk &&
-                tag == "META") {
-                Decoder d(payload);
-                e.benchmark = d.str();
-                e.cfgHash = d.u64();
-                if (!d.ok()) {
-                    e.benchmark.clear();
-                    e.cfgHash = 0;
-                } else {
-                    e.format = row->format.tag;
-                }
-            }
+        return {};
+    std::vector<Entry> entries = scanEntries(opts_.dir);
+    std::vector<std::uint8_t> bytes;
+    for (Entry &e : entries) {
+        const KindRow *row = e.quarantined ? nullptr : rowOf(e.path);
+        if (row == nullptr)
+            continue;
+        // Best-effort metadata read (for display only).
+        if (readFile(e.path, bytes) != FileRead::Ok)
+            continue;
+        MemSource src(bytes);
+        ChunkReader reader(src);
+        std::uint32_t schema = 0;
+        std::string err, tag;
+        std::vector<std::uint8_t> payload;
+        if (!reader.readHeader(row->format.tag, schema, err) ||
+            reader.next(tag, payload, err) != ChunkReader::Next::Chunk ||
+            tag != "META")
+            continue;
+        Decoder d(payload);
+        const std::string bench = d.str();
+        const std::uint64_t hash = d.u64();
+        if (d.ok()) {
+            e.benchmark = bench;
+            e.cfgHash = hash;
+            e.format = row->format.tag;
         }
-        entries.push_back(std::move(e));
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtimeNs != b.mtimeNs ? a.mtimeNs < b.mtimeNs
-                                                : a.path < b.path;
-              });
     return entries;
 }
 
@@ -354,7 +429,7 @@ ArtifactStore::gc(std::uint64_t max_bytes)
     int removed = 0;
     std::uint64_t live_bytes = 0;
     std::vector<Entry> live;
-    for (Entry &e : list()) {
+    for (Entry &e : scanEntries(opts_.dir)) {
         if (e.quarantined) {
             std::error_code ec;
             if (fs::remove(e.path, ec)) {
@@ -406,9 +481,11 @@ ArtifactStore::verify()
         const KindRow *row = findRow([&](const ArtifactFormat &f) {
             return e.format == f.tag;
         });
+        std::vector<std::uint8_t> bytes;
         const bool valid = row != nullptr &&
-            readEntry(e.path, row->format, e.benchmark, e.cfgHash,
-                      row->check);
+            readFile(e.path, bytes) == FileRead::Ok &&
+            parseEntry(bytes, row->format, e.benchmark, e.cfgHash,
+                       row->check);
         if (!valid) {
             warn("artifact store: '%s' failed verification; "
                  "quarantined", e.path.c_str());
@@ -451,7 +528,7 @@ ArtifactStore::enforceCapLocked()
     if (opts_.maxBytes == 0)
         return;
     std::uint64_t total = 0;
-    std::vector<Entry> entries = list();
+    const std::vector<Entry> entries = scanEntries(opts_.dir);
     for (const Entry &e : entries)
         total += e.quarantined ? 0 : e.bytes;
     if (total <= opts_.maxBytes)
@@ -464,7 +541,7 @@ ArtifactStore::enforceCapLocked()
             total -= e.bytes;
             evictions_.fetch_add(1, std::memory_order_relaxed);
         } else if (!ec) {
-            // Entry vanished between list() and remove(): another
+            // Entry vanished between the scan and remove(): another
             // process evicted it. Its bytes left the store regardless.
             total -= e.bytes;
             race_lost_.fetch_add(1, std::memory_order_relaxed);

@@ -95,9 +95,11 @@ class ArtifactStore
 
     /**
      * Look up the @p T artifact of (@p benchmark, @p key). True on a
-     * verified hit; false on absence or on a corrupt entry (which is
-     * counted, quarantined, and warned about — the caller just
-     * recomputes). @p out is only written on a hit. @p key is the
+     * verified hit; false on absence (open() reports ENOENT) or on a
+     * corrupt entry, meaning anything else that fails to open, read or
+     * validate (it is counted, quarantined, and warned about — the
+     * caller just recomputes). A hit opens and reads the entry file
+     * once. @p out is only written on a hit. @p key is the
      * kind's key hash from sim/configs.h (configHash, dtmConfigHash,
      * intervalModelKey, multicoreConfigHash).
      */
@@ -153,7 +155,9 @@ class ArtifactStore
         std::string format;
     };
 
-    /** All entries (valid and quarantined), oldest first. */
+    /** All entries (valid and quarantined), oldest first, each with
+     *  its META chunk read for display. The cap sweep and gc() take a
+     *  stat per file instead and read no entry. */
     std::vector<Entry> list() const;
 
     /**
@@ -202,11 +206,6 @@ class ArtifactStore
     bool commitEntry(const ArtifactFormat &format,
                      const std::string &benchmark, std::uint64_t key,
                      const Encoder &body);
-    /** Validate @p path as a @p format entry of (@p benchmark, @p key),
-     *  handing its one payload chunk to @p decode. */
-    bool readEntry(const std::string &path, const ArtifactFormat &format,
-                   const std::string &benchmark, std::uint64_t key,
-                   const PayloadDecoder &decode) const TH_REQUIRES(mu_);
     void quarantine(const std::string &path) TH_REQUIRES(mu_);
     /** Count a failed touchEntry and warn the first time. */
     void noteTouchFailure(const std::string &path) TH_REQUIRES(mu_);
