@@ -111,9 +111,10 @@ validateRequest(const SimRequest &req, const SimOptions &window,
                   " out of range (max " + std::to_string(INT_MAX) + ")";
             return false;
         }
-        // dtmOptionsFrom keeps a knob only when it is > 0, so a NaN
-        // trigger would silently become the default, and an infinite
-        // dilation would reach the stepper's step-count cast.
+        // dtmOptionsFrom keeps a knob only when it is > 0, so a NaN or
+        // negative trigger or dilation would silently become the
+        // default, and an infinite dilation would reach the stepper's
+        // step-count cast. 0 still selects the default.
         if (!std::isfinite(req.dtmTriggerK)) {
             err = "dtmTriggerK " + std::to_string(req.dtmTriggerK) +
                   " is not finite";
@@ -122,6 +123,16 @@ validateRequest(const SimRequest &req, const SimOptions &window,
         if (!std::isfinite(req.dtmDilation)) {
             err = "dtmDilation " + std::to_string(req.dtmDilation) +
                   " is not finite";
+            return false;
+        }
+        if (req.dtmTriggerK < 0.0) {
+            err = "dtmTriggerK " + std::to_string(req.dtmTriggerK) +
+                  " is negative (0 selects the default)";
+            return false;
+        }
+        if (req.dtmDilation < 0.0) {
+            err = "dtmDilation " + std::to_string(req.dtmDilation) +
+                  " is negative (0 selects the default)";
             return false;
         }
         // 0 selects the default grid; 1..3 would reach the engines'

@@ -459,6 +459,21 @@ TEST(NetTest, HostileDtmKnobsAreRejectedNotWrapped)
         EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
         EXPECT_NE(rsp.error.find("dtmTriggerK"), std::string::npos)
             << rsp.error;
+
+        // A negative knob used to fail the > 0 guard and silently run
+        // the default instead.
+        knob.dtmTriggerK = -1.0;
+        ASSERT_TRUE(client.call(knob, rsp, err)) << err;
+        EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
+        EXPECT_NE(rsp.error.find("dtmTriggerK"), std::string::npos)
+            << rsp.error;
+
+        knob.dtmTriggerK = 0.0;
+        knob.dtmDilation = -5.0;
+        ASSERT_TRUE(client.call(knob, rsp, err)) << err;
+        EXPECT_EQ(rsp.status, SimStatus::BadRequest) << rsp.error;
+        EXPECT_NE(rsp.error.find("dtmDilation"), std::string::npos)
+            << rsp.error;
     }
     SimRequest ping;
     ping.kind = SimRequestKind::Ping;
