@@ -114,7 +114,7 @@ readFile(const std::string &path, std::vector<std::uint8_t> &buf)
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
     if (fd < 0)
         return errno == ENOENT ? FileRead::Missing : FileRead::Failed;
-    struct stat st;
+    struct stat st {};
     bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
               static_cast<std::uint64_t>(st.st_size) <= kMaxEntryBytes;
     if (ok) {
@@ -196,7 +196,7 @@ scanEntries(const std::string &dir)
             name.compare(name.size() - 4, 4, kBadExt) == 0;
         if (!bad && rowOf(p) == nullptr)
             continue; // Temp files and strangers.
-        struct stat st;
+        struct stat st {};
         if (::stat(p.c_str(), &st) != 0)
             continue; // Removed since the directory was read.
         ArtifactStore::Entry e;
@@ -300,14 +300,14 @@ ArtifactStore::loadEntry(const ArtifactFormat &format,
     }
     if (got == FileRead::Failed ||
         !parseEntry(bytes, format, benchmark, key, decode)) {
-        // Only ENOENT from open() is a plain miss: anything else that
-        // opens but does not read as an entry (a directory, a short
-        // file, a bad CRC) would keep failing, and keep blocking the
-        // key's next commit, if it stayed. Distinguish a concurrent
-        // eviction (the file vanished under us — benign, another
-        // process gc'd it) from real corruption before quarantining:
-        // quarantine on ENOENT would manufacture phantom corrupt counts
-        // on a shared store.
+        // Only ENOENT from open() is a plain miss: left in place, a
+        // path that does not read as an entry (a directory, a short
+        // file, a bad CRC) would fail every lookup and can block the
+        // key's next commit. Distinguish a concurrent eviction (the
+        // file vanished under us — benign, another process gc'd it)
+        // from real corruption before quarantining: quarantine on
+        // ENOENT would manufacture phantom corrupt counts on a shared
+        // store.
         if (noteIfRaceLost(path)) {
             misses_.fetch_add(1, std::memory_order_relaxed);
             return false;

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "io/serialize.h"
 #include "sim/system.h"
 #include "store/artifact_store.h"
@@ -239,6 +241,25 @@ TEST_F(StoreTest, DirectoryAtEntryPathIsQuarantined)
     s = store.stats();
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.corrupt, 1u);
+}
+
+TEST_F(StoreTest, FifoAtEntryPathIsQuarantinedWithoutBlocking)
+{
+    // A blocking open of a FIFO waits for a writer that never comes,
+    // with the store's lock held.
+    ArtifactStore store(options());
+    ASSERT_TRUE(store.storeCoreResult("gzip", 0x32, syntheticResult(1)));
+    const fs::path entry = onlyEntry();
+    fs::remove(entry);
+    ASSERT_EQ(::mkfifo(entry.c_str(), 0600), 0);
+
+    CoreResult back;
+    EXPECT_FALSE(store.loadCoreResult("gzip", 0x32, back));
+    const StoreStats s = store.stats();
+    EXPECT_EQ(s.corrupt, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_TRUE(fs::exists(entry.string() + ".bad"));
+    EXPECT_FALSE(fs::exists(entry));
 }
 
 TEST_F(StoreTest, LruCapEvictsOldestEntries)
