@@ -114,25 +114,15 @@ validateRequest(const SimRequest &req, const SimOptions &window,
         // dtmOptionsFrom keeps a knob only when it is > 0, so a NaN or
         // negative trigger or dilation would silently become the
         // default, and an infinite dilation would reach the stepper's
-        // step-count cast. 0 still selects the default.
-        if (!std::isfinite(req.dtmTriggerK)) {
+        // step-count cast.
+        if (!std::isfinite(req.dtmTriggerK) || req.dtmTriggerK < 0.0) {
             err = "dtmTriggerK " + std::to_string(req.dtmTriggerK) +
-                  " is not finite";
+                  " must be finite and >= 0 (0 selects the default)";
             return false;
         }
-        if (!std::isfinite(req.dtmDilation)) {
+        if (!std::isfinite(req.dtmDilation) || req.dtmDilation < 0.0) {
             err = "dtmDilation " + std::to_string(req.dtmDilation) +
-                  " is not finite";
-            return false;
-        }
-        if (req.dtmTriggerK < 0.0) {
-            err = "dtmTriggerK " + std::to_string(req.dtmTriggerK) +
-                  " is negative (0 selects the default)";
-            return false;
-        }
-        if (req.dtmDilation < 0.0) {
-            err = "dtmDilation " + std::to_string(req.dtmDilation) +
-                  " is negative (0 selects the default)";
+                  " must be finite and >= 0 (0 selects the default)";
             return false;
         }
         // 0 selects the default grid; 1..3 would reach the engines'
