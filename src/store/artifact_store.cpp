@@ -94,7 +94,7 @@ constexpr std::uint64_t kMaxEntryBytes =
     std::uint64_t{kDefaultMaxChunkBytes} + (std::uint64_t{1} << 16);
 
 /** How reading a whole file ended. */
-enum class FileRead {
+enum class FileRead : std::uint8_t {
     Ok,      ///< Every byte of the file is in the buffer.
     Missing, ///< open() reported ENOENT: nothing is stored there.
     Failed,  ///< Any other failure, a file that is not regular, or
