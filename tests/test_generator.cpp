@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -247,6 +248,74 @@ TEST(Generator, FpResultsAreFullWidth)
         if (isFpOp(r.op) && r.hasDst) {
             ASSERT_EQ(r.resultWidth(), Width::Full);
         }
+    }
+}
+
+/** FNV-1a over the bytes of trivially copyable fields, fed in order. */
+class FieldHash
+{
+  public:
+    template <typename T>
+    FieldHash &operator<<(const T &field)
+    {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &field, sizeof(T));
+        for (unsigned char b : bytes) {
+            h_ ^= b;
+            h_ *= 0x100000001b3ULL;
+        }
+        return *this;
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(GeneratorGolden, FigsBenchmarksAreBitIdentical)
+{
+    // Pins the trace the cycle core consumes, so a PipelineGolden
+    // failure can be told apart: trace moved, or core moved.
+    constexpr int kRecords = 50000;
+    const struct
+    {
+        const char *bench;
+        std::uint64_t records;
+        std::uint64_t prefill;
+    } golden[] = {
+        {"crafty", 0x520367d9552e31d5ULL, 0xf0ed69c5f096306aULL},
+        // mcf and mpeg2enc keep the default hot and warm set sizes, so
+        // their prefill lists are the same.
+        {"mcf", 0x116d58e4dc33ed29ULL, 0xa5c221a1f312282aULL},
+        {"mpeg2enc", 0x79b1bac50f321471ULL, 0xa5c221a1f312282aULL},
+        {"yacr2", 0x6994d2dea4136a1aULL, 0x3011f4713240daaaULL},
+    };
+    for (const auto &g : golden) {
+        SyntheticTrace trace(benchmarkByName(g.bench));
+        FieldHash records;
+        TraceRecord r;
+        for (int i = 0; i < kRecords; ++i) {
+            ASSERT_TRUE(trace.next(r));
+            records << r.pc << r.op << r.numSrcs;
+            for (int s = 0; s < kMaxSrcs; ++s)
+                records << r.srcRegs[s] << r.srcValues[s];
+            records << r.hasDst << r.dstReg << r.resultValue << r.effAddr
+                    << r.memSize << r.taken << r.target;
+        }
+        std::vector<PrefillLine> lines;
+        trace.prefillLines(lines);
+        FieldHash prefill;
+        prefill << static_cast<std::uint64_t>(lines.size());
+        for (const PrefillLine &l : lines)
+            prefill << l.addr << l.intoL1;
+
+        EXPECT_EQ(records.value(), g.records)
+            << g.bench << "'s first " << kRecords << " records drifted "
+            << "(now 0x" << std::hex << records.value() << ")";
+        EXPECT_EQ(prefill.value(), g.prefill)
+            << g.bench << "'s prefill list drifted (now 0x" << std::hex
+            << prefill.value() << ")";
     }
 }
 

@@ -602,5 +602,71 @@ TEST(PipelineGolden, EveryBenchmarkOnEveryConfigIsBitIdentical)
     }
 }
 
+TEST(PipelineGolden, AblationVariantsAreBitIdentical)
+{
+    // The ablation study's edits of the 3D config that no preset
+    // makes, on its three applications at PipelineGolden's window:
+    // each pins a core path (round-robin allocation, PAM off, 1-bit
+    // PVE, no BTB memoization, the other width predictors) that the
+    // preset table leaves unchecked.
+    constexpr std::uint64_t kInsts = 3000;
+    constexpr std::uint64_t kWarmup = 1000;
+    const struct
+    {
+        const char *name;
+        void (*tweak)(CoreConfig &);
+    } variants[] = {
+        {"round-robin allocation",
+         [](CoreConfig &c) { c.schedAlloc = SchedAllocPolicy::RoundRobin; }},
+        {"PAM off", [](CoreConfig &c) { c.pamEnabled = false; }},
+        {"PVE 1-bit", [](CoreConfig &c) { c.pveEnabled = false; }},
+        {"BTB memoization off",
+         [](CoreConfig &c) { c.btbMemoEnabled = false; }},
+        {"last-outcome width predictor",
+         [](CoreConfig &c) { c.widthPredKind = WidthPredKind::LastOutcome; }},
+        {"oracle width predictor",
+         [](CoreConfig &c) { c.widthPredKind = WidthPredKind::Oracle; }},
+        {"always-full width predictor",
+         [](CoreConfig &c) { c.widthPredKind = WidthPredKind::AlwaysFull; }},
+    };
+    const struct
+    {
+        const char *bench;
+        std::uint64_t hash[std::size(variants)];
+    } golden[] = {
+        {"mpeg2enc",
+         {0x98793292836eabd8ULL, 0x919a5956c8cf2676ULL, 0xcc91f6f3f442bc0fULL,
+          0xa8caa0920e7bd7c2ULL, 0xf3d893775f2c96a4ULL, 0x6b23f98f63c1de95ULL,
+          0x18c0b40006eae7f4ULL}},
+        // gzip takes no memoized-upper BTB target in this window, so
+        // its BTB-memoization row equals its 3D preset digest.
+        {"gzip",
+         {0xc8507e94c8532984ULL, 0x8670296e7af5cc03ULL, 0xe94fbe43e63e83c8ULL,
+          0x388be946da4d32cbULL, 0xcc52753335025718ULL, 0x0964cb2b2e368fa0ULL,
+          0xb7be2828718206d6ULL}},
+        {"yacr2",
+         {0x64e0a638ed433792ULL, 0x6e978551695f4837ULL, 0xbae10a1f6da9429fULL,
+          0xfa5128b60bfda437ULL, 0x0ebfc23896ea6103ULL, 0x188f37bb1641ee51ULL,
+          0xe6f43679c9069e73ULL}},
+    };
+
+    const BlockLibrary lib;
+    for (const auto &g : golden) {
+        for (std::size_t v = 0; v < std::size(variants); ++v) {
+            CoreConfig cfg = makeConfig(ConfigKind::ThreeD, lib);
+            variants[v].tweak(cfg);
+            SyntheticTrace trace(benchmarkByName(g.bench));
+            Core core(cfg);
+            const std::uint64_t h = test::fnv1a(
+                serializeCoreResult(core.run(trace, kInsts, kWarmup)));
+            EXPECT_EQ(h, g.hash[v])
+                << "serializeCoreResult(" << g.bench << ", 3D with "
+                << variants[v].name << ") drifted (now 0x" << std::hex
+                << h << std::dec << ") — the cycle core's simulated "
+                << "statistics changed.";
+        }
+    }
+}
+
 } // namespace
 } // namespace th
