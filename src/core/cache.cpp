@@ -19,42 +19,43 @@ SetAssocCache::SetAssocCache(int bytes, int assoc, int line_bytes)
     if ((num_sets_ & (num_sets_ - 1)) != 0)
         fatal("cache sets must be a power of two (got %zu)", num_sets_);
     line_shift_ = log2Exact(static_cast<std::uint64_t>(line_bytes));
-    lines_.assign(static_cast<std::size_t>(lines), Line{});
-}
-
-std::size_t
-SetAssocCache::setOf(Addr addr) const
-{
-    return (addr >> line_shift_) & (num_sets_ - 1);
+    tags_.assign(static_cast<std::size_t>(lines), 0);
+    stamps_.assign(static_cast<std::size_t>(lines), 0);
+    filled_.assign(num_sets_, 0);
 }
 
 bool
 SetAssocCache::access(Addr addr)
 {
     const Addr tag = addr >> line_shift_;
-    const std::size_t base = setOf(addr) * static_cast<std::size_t>(assoc_);
+    const std::size_t set = tag & (num_sets_ - 1);
+    const std::size_t base = set * static_cast<std::size_t>(assoc_);
+    Addr *tags = &tags_[base];
+    std::uint64_t *stamps = &stamps_[base];
+    const int first_valid = assoc_ - filled_[set];
     ++clock_;
 
-    int victim = 0;
-    std::uint64_t oldest = UINT64_MAX;
-    for (int w = 0; w < assoc_; ++w) {
-        Line &l = lines_[base + static_cast<std::size_t>(w)];
-        if (l.valid && l.tag == tag) {
-            l.lru = clock_;
+    for (int w = first_valid; w < assoc_; ++w) {
+        if (tags[w] == tag) {
+            stamps[w] = clock_;
             return true;
         }
-        if (!l.valid) {
-            victim = w;
-            oldest = 0;
-        } else if (l.lru < oldest) {
-            victim = w;
-            oldest = l.lru;
+    }
+
+    // Miss: the last invalid way, else the least recently used one
+    // (stamps are unique, so the first minimum is the only one).
+    int victim = 0;
+    if (first_valid > 0) {
+        victim = first_valid - 1;
+        ++filled_[set];
+    } else {
+        for (int w = 1; w < assoc_; ++w) {
+            if (stamps[w] < stamps[victim])
+                victim = w;
         }
     }
-    Line &l = lines_[base + static_cast<std::size_t>(victim)];
-    l.valid = true;
-    l.tag = tag;
-    l.lru = clock_;
+    tags[victim] = tag;
+    stamps[victim] = clock_;
     return false;
 }
 
@@ -62,20 +63,13 @@ bool
 SetAssocCache::probe(Addr addr) const
 {
     const Addr tag = addr >> line_shift_;
-    const std::size_t base = setOf(addr) * static_cast<std::size_t>(assoc_);
-    for (int w = 0; w < assoc_; ++w) {
-        const Line &l = lines_[base + static_cast<std::size_t>(w)];
-        if (l.valid && l.tag == tag)
+    const std::size_t set = tag & (num_sets_ - 1);
+    const Addr *tags = &tags_[set * static_cast<std::size_t>(assoc_)];
+    for (int w = assoc_ - filled_[set]; w < assoc_; ++w) {
+        if (tags[w] == tag)
             return true;
     }
     return false;
-}
-
-void
-SetAssocCache::flush()
-{
-    for (auto &l : lines_)
-        l.valid = false;
 }
 
 Tlb::Tlb(int entries, int assoc)

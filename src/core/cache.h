@@ -18,7 +18,16 @@
 
 namespace th {
 
-/** Functional set-associative cache with true-LRU replacement. */
+/**
+ * Functional set-associative cache with true-LRU replacement.
+ *
+ * Tags and last-access stamps live in two set-major arrays, with a
+ * count of valid ways per set. A fill into a set with an invalid way
+ * takes the last one, and nothing invalidates a single way, so the
+ * invalid ways of a set are always its first assoc - filled: a lookup
+ * scans only the valid ways, and a fill needs no scan until the set
+ * is full (DESIGN.md §16.4).
+ */
 class SetAssocCache
 {
   public:
@@ -39,26 +48,16 @@ class SetAssocCache
     /** Probe without updating state. */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything. */
-    void flush();
-
     int numSets() const { return static_cast<int>(num_sets_); }
     int assoc() const { return assoc_; }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lru = 0;
-    };
-
-    std::size_t setOf(Addr addr) const;
-
     int assoc_;
     int line_shift_;
     std::size_t num_sets_;
-    std::vector<Line> lines_;
+    std::vector<Addr> tags_;            ///< [set * assoc + way]
+    std::vector<std::uint64_t> stamps_; ///< Access clock of each way.
+    std::vector<int> filled_;           ///< Valid ways per set.
     std::uint64_t clock_ = 0;
 };
 
