@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <bit>
+#include <memory>
 
 #include "common/bitutil.h"
 #include "common/log.h"
@@ -21,6 +22,9 @@ constexpr Cycle kDeadlockCycles = 200000;
 
 /** run() polls its CancelToken at cycles that are multiples of 4096. */
 constexpr Cycle kCancelPollMask = 0xFFF;
+
+/** Source slots per instruction, the radix of a waiter's name. */
+constexpr std::uint64_t kSrcSlots = kMaxSrcs;
 
 bool
 isFpDest(const DynInst &inst)
@@ -46,6 +50,7 @@ Core::Core(const CoreConfig &cfg)
     window_.resize(std::bit_ceil(static_cast<std::uint64_t>(
         cfg_.ifqSize + 2 * cfg_.decodeWidth + cfg_.robSize)));
     windowMask_ = window_.size() - 1;
+    ready_.resize(window_.size(), kNever);
     rs_.reserve(static_cast<std::size_t>(cfg_.rsSize));
 }
 
@@ -268,8 +273,7 @@ Core::fetchStage(TraceSource &trace)
 void
 Core::fetchOne(TraceSource &trace)
 {
-    DynInst &inst = slot(nextSeq_);
-    inst = DynInst{};
+    DynInst &inst = *std::construct_at(&slot(nextSeq_));
     if (!trace.next(inst.rec)) {
         fetchResumeAt_ = kNever;
         waitingRedirect_ = false; // trace over; drain
@@ -531,6 +535,7 @@ Core::dispatchStage()
             act_.schedAlloc.inc();
             act_.schedAllocDie[die].inc();
             rs_.push_back(dispatch_);
+            linkWaiters(inst);
         } else {
             // Nops complete trivially next cycle.
             inst->issued = true;
@@ -558,22 +563,48 @@ Core::dispatchStage()
 // --------------------------------------------------------------------
 
 Cycle
-Core::operandsReadyAt(DynInst &inst) const
+Core::operandsReadyAt(const DynInst &inst) const
 {
-    if (inst.readyAt != 0)
-        return inst.readyAt;
+    // Every in-flight producer has issued, so its completion cycle is
+    // final. One that commits before the entry is next examined
+    // completed before that cycle, so counting it changes no issue
+    // test and no wake-up (DESIGN.md §16.1).
     Cycle ready = inst.dispatchedAt + 1;
     for (int s = 0; s < inst.rec.numSrcs; ++s) {
         const std::uint64_t p = inst.producers[s];
-        if (p < head_)
-            continue; // committed: register file
-        const DynInst &producer = slot(p);
-        if (!producer.issued)
-            return kNever; // the producer's issue wakes the next cycle
-        ready = std::max(ready, producer.completeAt);
+        if (p >= head_)
+            ready = std::max(ready, slot(p).completeAt);
     }
-    inst.readyAt = ready;
     return ready;
+}
+
+void
+Core::linkWaiters(DynInst *inst)
+{
+    for (int s = 0; s < inst->rec.numSrcs; ++s) {
+        const std::uint64_t p = inst->producers[s];
+        if (p < head_ || slot(p).issued)
+            continue; // committed, or its completion cycle is known
+        DynInst &producer = slot(p);
+        inst->nextWaiter[s] = producer.firstWaiter;
+        producer.firstWaiter = inst->seq * kSrcSlots +
+            static_cast<std::uint64_t>(s);
+        ++inst->pendingProducers;
+    }
+    ready_[inst->seq & windowMask_] =
+        inst->pendingProducers == 0 ? operandsReadyAt(*inst) : kNever;
+}
+
+void
+Core::wakeWaiters(DynInst *inst)
+{
+    for (std::uint64_t w = inst->firstWaiter; w != 0;) {
+        const std::uint64_t seq = w / kSrcSlots;
+        DynInst &waiter = slot(seq);
+        w = waiter.nextWaiter[w % kSrcSlots];
+        if (--waiter.pendingProducers == 0)
+            ready_[seq & windowMask_] = operandsReadyAt(waiter);
+    }
 }
 
 int
@@ -769,6 +800,7 @@ Core::finishIssue(DynInst *inst, Cycle complete_at)
     inst->completeAt = complete_at;
     if (inst->rec.hasDst)
         completions_.emplace(complete_at, inst->seq);
+    wakeWaiters(inst);
 
     act_.schedSelect.inc();
     countExecActivity(inst);
@@ -793,15 +825,16 @@ Core::issueStage()
     for (const std::uint64_t seq : rs_) {
         if (issued >= cfg_.issueWidth)
             break;
-        DynInst *inst = &slot(seq);
-        const Cycle ready = operandsReadyAt(*inst);
+        // An entry still waiting on a producer reads kNever: that
+        // producer's issue wakes the next cycle.
+        const Cycle ready = ready_[seq & windowMask_];
         if (ready > cycle_) {
             wake(ready);
             continue;
         }
         // Ready but refused (busy unit, store-queue wait): those
         // conditions are not tracked as events, so step the next cycle.
-        if (!tryIssueInst(inst, issued))
+        if (!tryIssueInst(&slot(seq), issued))
             wake(cycle_ + 1);
     }
     if (issued > 0) {

@@ -13,11 +13,12 @@
  * accounting for the power model.
  *
  * Host time follows the simulated events, not the queue sizes: the
- * in-flight instructions live in one sequence-indexed ring, writebacks
- * pop from a completion heap, and a cycle in which nothing changes is
- * followed by a jump to the next cycle at which something can (see
- * DESIGN.md §16). Every simulated statistic is the same as stepping
- * each cycle would give.
+ * in-flight instructions live in one sequence-indexed ring, an RS
+ * entry's operands become ready when its last producer issues,
+ * writebacks pop from a completion heap, and a cycle in which nothing
+ * changes is followed by a jump to the next cycle at which something
+ * can (see DESIGN.md §16). Every simulated statistic is the same as
+ * stepping each cycle would give.
  */
 
 #ifndef TH_CORE_PIPELINE_H
@@ -69,9 +70,14 @@ struct DynInst
     // older than the window head has committed, so its value comes
     // from the register file.
     std::uint64_t producers[kMaxSrcs] = {0, 0};
-    /** First cycle all operands are ready; 0 until every in-flight
-     *  producer has issued (their completion cycles are final then). */
-    Cycle readyAt = 0;
+
+    // Wakeup lists. A waiter is an RS entry's source operand, named
+    // seq * kMaxSrcs + src (0 = none). Each RS entry links source s
+    // into the list of its producer while that producer has not
+    // issued; the producer's issue walks its list.
+    std::uint64_t firstWaiter = 0;              ///< Waiting on this one.
+    std::uint64_t nextWaiter[kMaxSrcs] = {0, 0}; ///< Link per source.
+    int pendingProducers = 0; ///< Producers not issued yet.
 
     // Branch state.
     bool mispredicted = false;
@@ -188,7 +194,13 @@ class Core
     bool tryIssueInst(DynInst *inst, int &issued_this_cycle);
     bool issueMemOp(DynInst *inst);
     void finishIssue(DynInst *inst, Cycle complete_at);
-    Cycle operandsReadyAt(DynInst &inst) const;
+    Cycle operandsReadyAt(const DynInst &inst) const;
+    /** At dispatch: join each unissued producer's waiter list, or set
+     *  the ready cycle now if none is pending. */
+    void linkWaiters(DynInst *inst);
+    /** At issue: count down each waiter, setting the ready cycle of
+     *  those whose last pending producer this was. */
+    void wakeWaiters(DynInst *inst);
     void readRegisterOperands(DynInst *inst, bool &unsafe);
     void countExecActivity(const DynInst *inst);
     void commitStoreToCache(DynInst *inst);
@@ -227,6 +239,10 @@ class Core
     std::uint64_t decode_ = 1;
     std::uint64_t nextSeq_ = 1;
     std::vector<std::uint64_t> rs_; ///< RS entries in dispatch order.
+    /** Parallel to window_: an RS entry's operand-ready cycle, set at
+     *  dispatch or when its last pending producer issues, and a cycle
+     *  that never comes until then. */
+    std::vector<Cycle> ready_;
     int lqCount_ = 0;
 
     /** Pending writebacks (completeAt, seq) of issued instructions
