@@ -16,12 +16,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -31,51 +25,11 @@ Rng::Rng(std::uint64_t seed)
         s = splitmix64(x);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::range(std::uint64_t bound)
-{
-    // Multiply-shift; bias is negligible for our bounds (<< 2^64).
-    return static_cast<std::uint64_t>(uniform() * static_cast<double>(bound));
-}
-
 std::int64_t
 Rng::rangeInclusive(std::int64_t lo, std::int64_t hi)
 {
     return lo + static_cast<std::int64_t>(
         range(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 int

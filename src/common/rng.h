@@ -25,19 +25,48 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit sample. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) (bound > 0). */
-    std::uint64_t range(std::uint64_t bound);
+    std::uint64_t range(std::uint64_t bound)
+    {
+        // Multiply-shift; bias is negligible for our bounds (<< 2^64).
+        return static_cast<std::uint64_t>(uniform() *
+                                          static_cast<double>(bound));
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t rangeInclusive(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli trial with probability @p p of returning true. */
-    bool chance(double p);
+    bool chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Sample a geometric-ish run length with mean @p mean (>= 1).
@@ -57,6 +86,11 @@ class Rng
     double gaussian(double mean, double stddev);
 
   private:
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

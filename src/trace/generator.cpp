@@ -553,6 +553,11 @@ SyntheticTrace::prefillLines(std::vector<PrefillLine> &lines) const
 {
     // Hot sets are L1-resident in steady state; warm sets L2-resident.
     // Cold sets are DRAM traffic by design and are not prefilled.
+    const std::uint64_t hot_lines = (profile_.hotBytes + 63) / 64;
+    const std::uint64_t warm_lines = profile_.warmBytes > profile_.hotBytes
+        ? (profile_.warmBytes - profile_.hotBytes + 63) / 64
+        : 0;
+    lines.reserve(lines.size() + 3 * hot_lines + 2 * warm_lines);
     const Addr bases[3] = {kStackBase, kHeapBase, kGlobalBase};
     for (Addr base : bases) {
         for (std::uint64_t off = 0; off < profile_.hotBytes; off += 64)
