@@ -45,10 +45,13 @@
 
 namespace th {
 
-/** One in-flight dynamic instruction. */
-struct DynInst
+/**
+ * The pipeline's state of one in-flight instruction: everything of a
+ * DynInst but its trace record. Fetch resets it; the trace source
+ * writes the record.
+ */
+struct InstState
 {
-    TraceRecord rec;
     std::uint64_t seq = 0;
 
     // Width prediction state.
@@ -82,6 +85,12 @@ struct DynInst
     // Branch state.
     bool mispredicted = false;
     bool btbHit = false;
+};
+
+/** One in-flight dynamic instruction. */
+struct DynInst : InstState
+{
+    TraceRecord rec;
 
     bool isNop() const { return rec.op == OpClass::Nop; }
 };

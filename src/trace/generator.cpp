@@ -432,57 +432,54 @@ SyntheticTrace::nextMemAddr(const StaticInst &si, int static_id)
 void
 SyntheticTrace::fillDynamic(const StaticInst &si, TraceRecord &rec)
 {
-    rec = TraceRecord{};
+    // Every field is written exactly once, the ones an op does not use
+    // with TraceRecord's defaults: the caller's record is not reset.
     rec.pc = si.pc;
     rec.op = si.op;
     rec.numSrcs = si.numSrcs;
     rec.hasDst = si.hasDst;
     rec.dstReg = si.dstReg;
-    for (int s = 0; s < si.numSrcs; ++s) {
-        rec.srcRegs[s] = si.srcRegs[s];
-        rec.srcValues[s] = reg_values_[si.srcRegs[s]];
+    for (int s = 0; s < kMaxSrcs; ++s) {
+        const bool used = s < si.numSrcs;
+        rec.srcRegs[s] = used ? si.srcRegs[s] : 0;
+        rec.srcValues[s] = used ? reg_values_[si.srcRegs[s]] : 0;
     }
 
     // The static index of this instruction, for per-site state.
     const int static_id =
         kernels_[static_cast<size_t>(cur_kernel_)].firstId + cur_idx_;
 
-    if (rec.isMem()) {
-        rec.effAddr = nextMemAddr(si, static_id);
-        rec.memSize = 8;
-    }
+    rec.effAddr = isMemOp(si.op) ? nextMemAddr(si, static_id) : 0;
+    rec.memSize = 8;
 
+    std::uint64_t result = 0;
     if (si.hasDst || si.op == OpClass::Store) {
         bool is_low = false;
-        std::uint64_t v = sampleValue(si, is_low);
+        result = sampleValue(si, is_low);
         if (isMemOp(si.op) && !is_low && si.fullValueClass == 2) {
             // Pointer-like memory data: the upper bits match the
             // referencing address (nearby heap objects), which the
             // D-cache's code-10 encoding captures (Section 3.6).
-            v = (rec.effAddr & kUpperMask) | (v & kTopDieMask);
+            result = (rec.effAddr & kUpperMask) | (result & kTopDieMask);
         }
-        rec.resultValue = v;
         if (si.hasDst)
-            reg_values_[si.dstReg] = v;
+            reg_values_[si.dstReg] = result;
     }
+    rec.resultValue = result;
 
+    bool taken = false;
+    Addr target = 0;
     if (si.op == OpClass::Branch) {
-        bool taken;
-        if (si.isLoopBranch) {
-            taken = loop_trips_left_ > 0;
-        } else {
-            taken = rng_.chance(si.takenBias);
-        }
-        rec.taken = taken;
+        taken = si.isLoopBranch ? loop_trips_left_ > 0
+                                : rng_.chance(si.takenBias);
         const auto &kernel = kernels_[static_cast<size_t>(cur_kernel_)];
         const int tgt = si.isLoopBranch ? 0 : si.targetIdx;
-        rec.target = kernel.insts[static_cast<size_t>(tgt)].pc;
+        target = kernel.insts[static_cast<size_t>(tgt)].pc;
     } else if (si.op == OpClass::Jump) {
-        rec.taken = true;
-        rec.target =
-            kernels_[static_cast<size_t>(si.jumpKernel)].insts[0].pc;
+        taken = true;
+        target = kernels_[static_cast<size_t>(si.jumpKernel)].insts[0].pc;
     } else if (si.op == OpClass::IndirectJump) {
-        rec.taken = true;
+        taken = true;
         const auto id = static_cast<size_t>(static_id);
         const auto &tgts = si.indirectKernels;
         int pick = 0;
@@ -495,8 +492,10 @@ SyntheticTrace::fillDynamic(const StaticInst &si, TraceRecord &rec)
             indirect_rr_[id]++;
         }
         const int k = tgts.empty() ? 0 : tgts[static_cast<size_t>(pick)];
-        rec.target = kernels_[static_cast<size_t>(k)].insts[0].pc;
+        target = kernels_[static_cast<size_t>(k)].insts[0].pc;
     }
+    rec.taken = taken;
+    rec.target = target;
 }
 
 void

@@ -86,7 +86,9 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next dynamic instruction.
+     * Produce the next dynamic instruction, defining every field of
+     * @p rec: the caller passes a record holding a previous
+     * instruction and does not reset it.
      * @return False when the trace is exhausted.
      */
     virtual bool next(TraceRecord &rec) = 0;
