@@ -68,9 +68,7 @@ configName(ConfigKind kind)
 bool
 configKindByName(const std::string &name, ConfigKind &out)
 {
-    for (ConfigKind k : {ConfigKind::Base, ConfigKind::TH, ConfigKind::Pipe,
-                         ConfigKind::Fast, ConfigKind::ThreeD,
-                         ConfigKind::ThreeDNoTH}) {
+    for (ConfigKind k : kAllConfigKinds) {
         if (name == configName(k)) {
             out = k;
             return true;

@@ -30,6 +30,11 @@ enum class ConfigKind {
     ThreeDNoTH ///< 3D clock + pipe opts, herding disabled (Fig. 9/10).
 };
 
+/** Every ConfigKind, in declaration order. */
+inline constexpr ConfigKind kAllConfigKinds[] = {
+    ConfigKind::Base, ConfigKind::TH,     ConfigKind::Pipe,
+    ConfigKind::Fast, ConfigKind::ThreeD, ConfigKind::ThreeDNoTH};
+
 /** Display name ("Base", "TH", ...). */
 const char *configName(ConfigKind kind);
 

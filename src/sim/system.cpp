@@ -28,6 +28,11 @@ System::System(const SimOptions &opts)
       planar_fp_(FloorplanBuilder::planar()),
       stacked_fp_(FloorplanBuilder::stacked())
 {
+    for (ConfigKind kind : kAllConfigKinds) {
+        Preset &p = presets_[static_cast<std::size_t>(kind)];
+        p.cfg = makeConfig(kind, lib_);
+        p.hash = configHash(p.cfg);
+    }
     const std::string dir = resolveStoreDir(opts_);
     if (!dir.empty()) {
         StoreOptions sopts;
@@ -53,12 +58,20 @@ CoreResult
 System::runCore(const std::string &benchmark, ConfigKind kind,
                 const CancelToken *cancel) const
 {
-    return runCore(benchmark, makeConfig(kind, lib_), cancel);
+    const Preset &p = preset(kind);
+    return runCoreKeyed(benchmark, p.cfg, p.hash, cancel);
 }
 
 CoreResult
 System::runCore(const std::string &benchmark, const CoreConfig &cfg,
                 const CancelToken *cancel) const
+{
+    return runCoreKeyed(benchmark, cfg, configHash(cfg), cancel);
+}
+
+CoreResult
+System::runCoreKeyed(const std::string &benchmark, const CoreConfig &cfg,
+                     std::uint64_t hash, const CancelToken *cancel) const
 {
     // Memoize on (benchmark, config hash): traces are seeded by the
     // benchmark profile and the core is deterministic, so a repeat of
@@ -66,7 +79,7 @@ System::runCore(const std::string &benchmark, const CoreConfig &cfg,
     // memory and a fresh simulation sits the persistent store: a warm
     // process finds every (benchmark, config) pair of a previous sweep
     // on disk and skips simulation entirely.
-    return core_memo_.get(store_.get(), benchmark, configHash(cfg), [&] {
+    return core_memo_.get(store_.get(), benchmark, hash, cancel, [&] {
         return simulate(benchmark, cfg, cancel);
     });
 }
@@ -116,10 +129,10 @@ System::ensureCalibrated(const CancelToken *cancel) const
     // pool issues the first evaluate() calls concurrently. A Cancelled
     // throw leaves the flag unset, so the next caller recalibrates.
     std::call_once(calibrate_once_, [this, cancel] {
-        const CoreConfig base_cfg = makeConfig(ConfigKind::Base, lib_);
-        const CoreResult base_run =
-            runCore(kPowerReferenceBenchmark, base_cfg, cancel);
-        power_.calibrate(base_run, base_cfg);
+        const Preset &base = preset(ConfigKind::Base);
+        const CoreResult base_run = runCoreKeyed(
+            kPowerReferenceBenchmark, base.cfg, base.hash, cancel);
+        power_.calibrate(base_run, base.cfg);
     });
 }
 
@@ -138,9 +151,9 @@ System::evaluate(const std::string &benchmark, ConfigKind kind,
     Evaluation ev;
     ev.benchmark = benchmark;
     ev.config = kind;
-    const CoreConfig cfg = makeConfig(kind, lib_);
-    ev.core = runCore(benchmark, cfg, cancel);
-    ev.power = power_.compute(ev.core, cfg);
+    const Preset &p = preset(kind);
+    ev.core = runCoreKeyed(benchmark, p.cfg, p.hash, cancel);
+    ev.power = power_.compute(ev.core, p.cfg);
     return ev;
 }
 
@@ -148,12 +161,12 @@ DtmReport
 System::runDtm(const std::string &benchmark, ConfigKind kind,
                const DtmOptions &dtm_opts, const CancelToken *cancel)
 {
-    const CoreConfig cfg = makeConfig(kind, lib_);
+    const CoreConfig &cfg = preset(kind).cfg;
     // The persistent lookup precedes power calibration: on a warm
     // rerun even the calibration core run is skipped, so a cached DTM
     // sweep performs zero core simulations.
     return dtm_memo_.get(
-        store_.get(), benchmark, dtmConfigHash(cfg, dtm_opts), [&] {
+        store_.get(), benchmark, dtmConfigHash(cfg, dtm_opts), cancel, [&] {
             ensureCalibrated(cancel);
             const DtmEngine engine(power_, hotspot_, planar_fp_,
                                    stacked_fp_);
@@ -192,11 +205,12 @@ System::runMulticore(ConfigKind kind, const MulticoreConfig &mc,
         mix += resolved.benchmarks[i];
     }
 
-    const CoreConfig cfg = makeConfig(kind, lib_);
+    const CoreConfig &cfg = preset(kind).cfg;
     // Like runDtm: the persistent lookup precedes power calibration,
     // so a warm rerun of a many-core sweep performs zero simulations.
     return multicore_memo_.get(
-        store_.get(), mix, multicoreConfigHash(cfg, resolved), [&] {
+        store_.get(), mix, multicoreConfigHash(cfg, resolved), cancel,
+        [&] {
             ensureCalibrated(cancel);
             std::vector<BenchmarkProfile> profiles;
             profiles.reserve(resolved.benchmarks.size());
@@ -213,14 +227,15 @@ System::runIntervalFit(const std::string &benchmark, ConfigKind kind,
                        const IntervalOptions &iopts,
                        const CancelToken *cancel)
 {
-    const CoreConfig cfg = makeConfig(kind, lib_);
+    const CoreConfig &cfg = preset(kind).cfg;
     // Fitting needs no power model, so the store lookup alone makes a
     // warm fast-path run perform zero core simulations for the models.
     return interval_memo_.get(
-        store_.get(), benchmark, intervalModelKey(cfg, iopts), [&] {
+        store_.get(), benchmark, intervalModelKey(cfg, iopts), cancel,
+        [&] {
             return fitIntervalModel(benchmarkByName(benchmark), cfg, iopts,
                                     intervalFamilyHash(cfg),
-                                    configHash(cfg), cancel);
+                                    preset(kind).hash, cancel);
         });
 }
 
@@ -235,7 +250,7 @@ System::runIntervalDtm(const std::string &benchmark, ConfigKind kind,
     // Replay still needs the calibrated power model (the calibration
     // core run is itself store-cached, so warm runs stay sim-free).
     ensureCalibrated(cancel);
-    const CoreConfig cfg = makeConfig(kind, lib_);
+    const CoreConfig &cfg = preset(kind).cfg;
     ReplayIntervalSource src(model, cfg);
     const DtmEngine engine(power_, hotspot_, planar_fp_, stacked_fp_);
     // Replay pairs the table-lookup core with the vertical-implicit
@@ -251,9 +266,9 @@ System::runIntervalDtm(const std::string &benchmark, ConfigKind kind,
 ThermalReport
 System::thermal(const Evaluation &eval, double power_scale) const
 {
-    const CoreConfig cfg = makeConfig(eval.config, lib_);
-    const Floorplan &fp = cfg.stacked ? stacked_fp_ : planar_fp_;
-    return hotspot_.analyze(fp, eval.power, cfg.stacked, power_scale);
+    const bool stacked = preset(eval.config).cfg.stacked;
+    const Floorplan &fp = stacked ? stacked_fp_ : planar_fp_;
+    return hotspot_.analyze(fp, eval.power, stacked, power_scale);
 }
 
 } // namespace th

@@ -14,8 +14,10 @@
 #ifndef TH_SIM_SYSTEM_H
 #define TH_SIM_SYSTEM_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -192,7 +194,24 @@ class System
     static constexpr const char *kPowerReferenceBenchmark = "mpeg2enc";
 
   private:
+    /** A preset's core configuration and its configHash. */
+    struct Preset
+    {
+        CoreConfig cfg;
+        std::uint64_t hash = 0;
+    };
+
+    /** The preset of @p kind, built once at construction. */
+    const Preset &preset(ConfigKind kind) const
+    {
+        return presets_[static_cast<std::size_t>(kind)];
+    }
+
     void ensureCalibrated(const CancelToken *cancel = nullptr) const;
+    /** runCore on @p cfg, whose configHash is @p hash. */
+    CoreResult runCoreKeyed(const std::string &benchmark,
+                            const CoreConfig &cfg, std::uint64_t hash,
+                            const CancelToken *cancel) const;
     /** The uncached simulation path behind the memoizing cache. */
     CoreResult simulate(const std::string &benchmark,
                         const CoreConfig &cfg,
@@ -204,6 +223,8 @@ class System
     HotspotModel hotspot_;
     Floorplan planar_fp_;
     Floorplan stacked_fp_;
+    /** makeConfig(kind, lib_) and its hash, indexed by ConfigKind. */
+    std::array<Preset, std::size(kAllConfigKinds)> presets_;
     // th_lint: guards(power_ — calibrated exactly once before first read)
     mutable std::once_flag calibrate_once_;
 
@@ -219,11 +240,13 @@ class System
         /**
          * The memoized @p T of (@p benchmark, @p key_hash): a memory
          * hit, else a store hit, else @p compute() persisted to the
-         * store; either way inserted into memory.
+         * store and tallied on @p cancel; either way inserted into
+         * memory.
          */
         template <typename Compute>
         T get(ArtifactStore *store, const std::string &benchmark,
-              std::uint64_t key_hash, Compute &&compute)
+              std::uint64_t key_hash, const CancelToken *cancel,
+              Compute &&compute)
         {
             const std::string key =
                 benchmark + '\0' + std::to_string(key_hash);
@@ -242,6 +265,8 @@ class System
             if (store == nullptr ||
                 !store->load(benchmark, key_hash, value)) {
                 value = compute();
+                if (cancel != nullptr)
+                    cancel->noteComputed();
                 if (store != nullptr)
                     store->save(benchmark, key_hash, value);
             }

@@ -3,12 +3,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 
 #include "io/serialize.h"
@@ -338,7 +340,7 @@ class FailingTouchStore : public ArtifactStore
     using ArtifactStore::ArtifactStore;
 
   protected:
-    bool touchEntry(const std::string &) override { return false; }
+    bool touchEntry(int, const std::string &) override { return false; }
 };
 
 TEST_F(StoreTest, TouchFailureIsCountedButHitStillServed)
@@ -374,6 +376,32 @@ TEST_F(StoreTest, HealthyTouchReportsNoFailures)
     EXPECT_EQ(store.stats().touchFailures, 0u);
 }
 
+TEST_F(StoreTest, HitRefreshesMtimeAndLeavesAtime)
+{
+    ArtifactStore store(options());
+    ASSERT_TRUE(store.storeCoreResult("gzip", 0x7, syntheticResult(2)));
+    const fs::path entry = onlyEntry();
+
+    // Age the mtime by an hour. The atime goes an hour ahead instead:
+    // relatime updates the atime on a read only while it is not newer
+    // than the mtime and the ctime, so a future atime isolates the
+    // touch from the read.
+    const std::time_t now = std::time(nullptr);
+    struct timespec times[2] = {{now + 3600, 0}, {now - 3600, 0}};
+    ASSERT_EQ(::utimensat(AT_FDCWD, entry.c_str(), times, 0), 0);
+
+    CoreResult back;
+    ASSERT_TRUE(store.loadCoreResult("gzip", 0x7, back));
+    struct stat st {};
+    ASSERT_EQ(::stat(entry.c_str(), &st), 0);
+    EXPECT_GE(st.st_mtim.tv_sec, now - 60)
+        << "the hit did not refresh the entry's mtime";
+    EXPECT_EQ(st.st_atim.tv_sec, now + 3600)
+        << "the hit moved the entry's atime";
+    EXPECT_EQ(st.st_atim.tv_nsec, 0);
+    EXPECT_EQ(store.stats().touchFailures, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Concurrent-process races: entries vanishing mid-transaction.
 // ---------------------------------------------------------------------
@@ -391,10 +419,10 @@ class VanishingTouchStore : public ArtifactStore
     using ArtifactStore::ArtifactStore;
 
   protected:
-    bool touchEntry(const std::string &path) override
+    bool touchEntry(int, const std::string &name) override
     {
         std::error_code ec;
-        fs::remove(path, ec);
+        fs::remove(fs::path(dir()) / name, ec);
         return false;
     }
 };
@@ -491,6 +519,30 @@ TEST_F(StoreTest, CorruptEntryRecomputedTransparently)
                                          again.circuits()));
     EXPECT_EQ(serializeCoreResult(r2), want);
     EXPECT_EQ(again.storeStats().hits, 1u);
+}
+
+TEST_F(StoreTest, PresetRunSharesTheEntryOfItsExplicitConfig)
+{
+    // runCore(b, kind) reads the System's preset table; it must key the
+    // memo and the store exactly as configHash(makeConfig(kind, ...)).
+    System sys(simOptions());
+    std::uint64_t n = 0;
+    for (ConfigKind kind : kAllConfigKinds) {
+        const CoreResult by_kind = sys.runCore("gzip", kind);
+        const CoreResult by_cfg =
+            sys.runCore("gzip", makeConfig(kind, sys.circuits()));
+        ++n;
+        EXPECT_EQ(serializeCoreResult(by_kind), serializeCoreResult(by_cfg))
+            << configName(kind);
+        const System::CacheStats cache = sys.coreCacheStats();
+        EXPECT_EQ(cache.misses, n) << configName(kind);
+        EXPECT_EQ(cache.hits, n) << configName(kind);
+        EXPECT_EQ(sys.storeStats().stores, n) << configName(kind);
+        std::uint64_t files = 0;
+        for (const auto &de : fs::directory_iterator(dir_))
+            files += de.path().extension() == ".cr" ? 1 : 0;
+        EXPECT_EQ(files, n) << configName(kind);
+    }
 }
 
 TEST_F(StoreTest, StoreDisabledWithoutDirectory)
