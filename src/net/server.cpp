@@ -339,7 +339,6 @@ void SimServer::workerLoop()
             rsp.status = SimStatus::DeadlineExceeded;
             rsp.error = "cancelled before execution";
         } else {
-            metrics_.noteSimulationRun();
             try {
                 rsp = runRequest(*sys_, work.request,
                                  &work.flight->cancel);
@@ -351,6 +350,12 @@ void SimServer::workerLoop()
                 rsp.status = SimStatus::Internal;
                 rsp.error = e.what();
             }
+            // A request counts as a simulation only when its run
+            // computed an artifact; one served wholly from the memo or
+            // the store ran none. Counted before publishing, so a
+            // waiter that has its reply sees the count.
+            if (work.flight->cancel.computed() != 0)
+                metrics_.noteSimulationRun();
         }
         publishFlight(work.flight, work.key, rsp);
         in_flight_.fetch_sub(1);

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +26,7 @@
 
 #include <dirent.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "common/version.h"
 #include "io/serialize.h"
@@ -35,6 +37,8 @@
 
 namespace th {
 namespace {
+
+namespace fs = std::filesystem;
 
 /**
  * Server options sized for test speed: a tiny simulation window, no
@@ -361,6 +365,52 @@ TEST(NetTest, RepeatedRequestIsServedFromTheCoreCache)
     const System::CacheStats cache = server.system().coreCacheStats();
     EXPECT_EQ(cache.misses, 1u) << "warm repeat must not re-simulate";
     EXPECT_EQ(cache.hits, 1u);
+}
+
+TEST(NetTest, ServerOnAPrimedStoreRunsNoSimulations)
+{
+    // A request whose every artifact came from the store computed
+    // nothing, so it is no simulation: a second server on the store a
+    // first one filled answers the same requests with zero.
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("thnet-primed-" + std::to_string(::getpid()));
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    ServerOptions opts = testOptionsNoStore();
+    opts.sim.storeDir = dir.string();
+    SimRequest fig8;
+    fig8.kind = SimRequestKind::Fig8;
+    fig8.benchmarks = {"gcc"};
+    const SimRequest requests[] = {coreRequest("gcc", "TH"), fig8};
+
+    auto serve = [&](SimServer &server, std::vector<std::string> &texts) {
+        std::string err;
+        ASSERT_TRUE(server.start(err)) << err;
+        SimClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), err)) << err;
+        for (const SimRequest &req : requests) {
+            SimResponse rsp;
+            ASSERT_TRUE(client.call(req, rsp, err)) << err;
+            ASSERT_EQ(rsp.status, SimStatus::Ok) << rsp.error;
+            texts.push_back(rsp.text);
+        }
+    };
+    std::vector<std::string> cold, warm;
+    {
+        SimServer first(opts);
+        serve(first, cold);
+        EXPECT_EQ(first.metrics().simulationsRun(), 2u);
+    }
+    SimServer second(opts);
+    serve(second, warm);
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(second.metrics().simulationsRun(), 0u);
+    const StoreStats st = second.system().storeStats();
+    EXPECT_GT(st.hits, 0u);
+    EXPECT_EQ(st.misses, 0u);
+    EXPECT_EQ(st.stores, 0u);
+    second.shutdown();
+    fs::remove_all(dir, ec);
 }
 
 TEST(NetTest, MetricsSnapshotExposesTheServingCounters)
